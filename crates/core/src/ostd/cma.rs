@@ -17,10 +17,10 @@
 //! up to the curvature map of step 2, which the paper folds into its
 //! `CdG` primitive; see the crate benches for the measured scaling.
 
-use cps_geometry::Point2;
+use cps_geometry::{within, Point2};
 use cps_linalg::Vec2;
 
-use super::curvature::fit_quadric;
+use super::curvature::{fit_quadric, fit_quadric_over};
 use super::forces;
 use crate::{CoreError, CpsConfig};
 
@@ -192,39 +192,76 @@ pub fn cma_step(
     neighbors: &[NeighborInfo],
     cfg: &CmaConfig,
 ) -> Result<CmaOutcome, CoreError> {
-    // Lines 2–3: own curvature from the local quadric fit.
-    let own_fit = fit_quadric(position, value, sensed)?;
-    let own_curvature = own_fit.gaussian_curvature();
+    step_with(position, value, sensed, neighbors, cfg, hottest_sensed)
+}
 
-    // Lines 6–7: curvature at sensed positions; hottest wins. Only
-    // positions within Rs/2 are candidates, and each is fitted over the
-    // samples within Rs/2 of *itself*: a candidate near the edge of the
-    // sensing disc would otherwise be fitted from one-sided samples,
-    // and such extrapolative fits report wildly inflated curvature
-    // (phantom peaks at the disc boundary that keep every node moving
-    // forever). Degenerate fits get weight zero instead of failing the
-    // whole step.
-    let half = cfg.sensing_radius / 2.0;
-    let mut peak = (position, own_fit.curvature_weight());
-    let mut local: Vec<(Point2, f64)> = Vec::with_capacity(sensed.len());
+/// Lines 6–7: the hottest sensed candidate, starting from the node's
+/// own weight at `position`.
+///
+/// Only positions within `half` (Rs/2) are candidates, and each is
+/// fitted over the samples within `half` of *itself*: a candidate near
+/// the edge of the sensing disc would otherwise be fitted from
+/// one-sided samples, and such extrapolative fits report wildly
+/// inflated curvature (phantom peaks at the disc boundary that keep
+/// every node moving forever). Degenerate fits get weight zero instead
+/// of failing the whole step.
+///
+/// Both filters use [`within`], which decides `distance <= r` exactly
+/// without a square root for all but the samples on the rim.
+/// `!within(p, position, half)` and `p.distance(position) > half`
+/// differ only when the distance or `half` is NaN, and such a candidate
+/// can never win. If `position` is NaN, the starting weight is NaN and
+/// no `weight > NaN`. If `p` or `half` is NaN, no sample lies within
+/// `half` of `p`, so its fit fails with weight 0, which never exceeds
+/// the running peak (non-negative or NaN).
+fn hottest_sensed(
+    position: Point2,
+    own: f64,
+    sensed: &[(Point2, f64)],
+    half: f64,
+) -> (Point2, f64) {
+    let mut peak = (position, own);
     for &(p, z) in sensed {
-        if p.distance(position) <= f64::EPSILON || p.distance(position) > half {
+        if within(p, position, f64::EPSILON) || !within(p, position, half) {
             continue;
         }
-        local.clear();
-        local.extend(
-            sensed
-                .iter()
-                .filter(|(s, _)| s.distance(p) <= half)
-                .copied(),
-        );
-        let weight = fit_quadric(p, z, &local)
+        let local = sensed.iter().copied().filter(|&(s, _)| within(s, p, half));
+        let weight = fit_quadric_over(p, z, local)
             .map(|fit| fit.curvature_weight())
             .unwrap_or(0.0);
         if weight > peak.1 {
             peak = (p, weight);
         }
     }
+    peak
+}
+
+/// A candidate search for lines 6–7: `(position, own weight, sensed,
+/// Rs/2)` to the hottest `(position, weight)`.
+type CandidateSearch = fn(Point2, f64, &[(Point2, f64)], f64) -> (Point2, f64);
+
+/// [`cma_step`] with the candidate search of lines 6–7 supplied by the
+/// caller (the tests pin [`hottest_sensed`] against a reference
+/// `hypot` filter through it).
+fn step_with(
+    position: Point2,
+    value: f64,
+    sensed: &[(Point2, f64)],
+    neighbors: &[NeighborInfo],
+    cfg: &CmaConfig,
+    hottest: CandidateSearch,
+) -> Result<CmaOutcome, CoreError> {
+    // Lines 2–3: own curvature from the local quadric fit.
+    let own_fit = fit_quadric(position, value, sensed)?;
+    let own_curvature = own_fit.gaussian_curvature();
+
+    // Lines 6–7: curvature at sensed positions; hottest wins.
+    let peak = hottest(
+        position,
+        own_fit.curvature_weight(),
+        sensed,
+        cfg.sensing_radius / 2.0,
+    );
 
     // Lines 8–12: virtual forces. Curvature weights are normalized by
     // the network-wide reference scale: raw Gaussian curvatures scale
@@ -399,6 +436,179 @@ mod tests {
         let n = Point2::new(0.0, 0.0);
         let err = cma_step(n, 0.0, &[], &[], &cfg()).unwrap_err();
         assert!(matches!(err, CoreError::TooFewSamplesForFit { .. }));
+    }
+
+    /// The reference candidate search, filtering all samples by
+    /// `hypot` distance for each candidate: [`hottest_sensed`] must
+    /// match it bit for bit.
+    fn hottest_sensed_oracle(
+        position: Point2,
+        own: f64,
+        sensed: &[(Point2, f64)],
+        half: f64,
+    ) -> (Point2, f64) {
+        let mut peak = (position, own);
+        let mut local: Vec<(Point2, f64)> = Vec::with_capacity(sensed.len());
+        for &(p, z) in sensed {
+            if p.distance(position) <= f64::EPSILON || p.distance(position) > half {
+                continue;
+            }
+            local.clear();
+            local.extend(
+                sensed
+                    .iter()
+                    .filter(|(s, _)| s.distance(p) <= half)
+                    .copied(),
+            );
+            let weight = fit_quadric(p, z, &local)
+                .map(|fit| fit.curvature_weight())
+                .unwrap_or(0.0);
+            if weight > peak.1 {
+                peak = (p, weight);
+            }
+        }
+        peak
+    }
+
+    fn outcome_bits(out: &CmaOutcome) -> Vec<u64> {
+        let v = |v: Vec2| [v.x.to_bits(), v.y.to_bits()];
+        let mut bits = vec![
+            out.curvature.to_bits(),
+            out.peak.0.x.to_bits(),
+            out.peak.0.y.to_bits(),
+            out.peak.1.to_bits(),
+        ];
+        for f in [out.f1, out.f2, out.fr, out.force] {
+            bits.extend(v(f));
+        }
+        match out.action {
+            CmaAction::Stay => bits.push(0),
+            CmaAction::MoveTo(d) => bits.extend([1, d.x.to_bits(), d.y.to_bits()]),
+        }
+        bits
+    }
+
+    /// Senses a lattice disc exactly as the simulator does: offsets
+    /// `d·spacing` from a float centre, kept by `hypot` distance.
+    fn sense_disc(
+        f: &dyn Fn(f64, f64) -> f64,
+        c: Point2,
+        rs: f64,
+        spacing: f64,
+    ) -> Vec<(Point2, f64)> {
+        let steps = (rs / spacing).floor() as i32;
+        let mut out = Vec::new();
+        for dx in -steps..=steps {
+            for dy in -steps..=steps {
+                let p = Point2::new(c.x + dx as f64 * spacing, c.y + dy as f64 * spacing);
+                if c.distance(p) <= rs {
+                    out.push((p, f(p.x, p.y)));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn candidate_search_matches_the_hypot_oracle_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let mut checked = 0;
+        for case in 0..500 {
+            let c = Point2::new(rng.gen_range(-20.0..160.0), rng.gen_range(-20.0..160.0));
+            let (rs, spacing) = match case % 5 {
+                0 => (5.0, 1.0),
+                1 => (rng.gen_range(2.0..7.0), 1.0),
+                2 => (5.0, rng.gen_range(0.4..1.3)),
+                3 => (rng.gen_range(1.5..6.0), rng.gen_range(0.3..1.0)),
+                // Rs/2 a whole multiple of the spacing: candidates and
+                // samples at lattice offsets (3, 4) and (5, 0) sit on
+                // the Rs/2 rim up to rounding.
+                _ => [(10.0, 1.0), (5.0, 0.5), (6.0, 0.6), (4.0, 0.4)][case % 4],
+            };
+            let (px, py) = (rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0));
+            let (sx, sy) = (rng.gen_range(1.0..8.0), rng.gen_range(1.0..8.0));
+            let amp = rng.gen_range(-3.0..3.0);
+            let noise = rng.gen_range(0.0..0.05);
+            let field = move |x: f64, y: f64| {
+                let (u, v) = ((x - c.x - px) / sx, (y - c.y - py) / sy);
+                amp * (-0.5 * (u * u + v * v)).exp() + noise * (7.3 * x).sin() * (5.1 * y).cos()
+            };
+            let mut sensed = sense_disc(&field, c, rs, spacing);
+            if case % 9 == 0 {
+                // A corrupted reading at a non-finite position.
+                sensed.push((Point2::new(f64::NAN, c.y), 1.0));
+            }
+            let nbrs: Vec<NeighborInfo> = (0..rng.gen_range(0..6))
+                .map(|_| NeighborInfo {
+                    position: Point2::new(
+                        c.x + rng.gen_range(-10.0..10.0),
+                        c.y + rng.gen_range(-10.0..10.0),
+                    ),
+                    curvature: rng.gen_range(0.0..2.0),
+                })
+                .collect();
+            let cfg = CmaConfig {
+                sensing_radius: rs,
+                curvature_scale: rng.gen_range(0.001..2.0),
+                ..cfg()
+            };
+            let value = field(c.x, c.y);
+            let fast = step_with(c, value, &sensed, &nbrs, &cfg, hottest_sensed);
+            let slow = step_with(c, value, &sensed, &nbrs, &cfg, hottest_sensed_oracle);
+            match (fast, slow) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(outcome_bits(&a), outcome_bits(&b), "case {case}");
+                    checked += 1;
+                }
+                (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+                (a, b) => panic!("case {case}: {a:?} vs {b:?}"),
+            }
+            assert_eq!(
+                outcome_bits(&cma_step(c, value, &sensed, &nbrs, &cfg).unwrap()),
+                outcome_bits(
+                    &step_with(c, value, &sensed, &nbrs, &cfg, hottest_sensed_oracle).unwrap()
+                ),
+            );
+        }
+        assert!(checked > 450);
+    }
+
+    #[test]
+    fn candidate_search_matches_the_oracle_on_degenerate_inputs() {
+        let sensed = sense_disc(&|x, y| x * x - y * y, Point2::new(3.0, 4.0), 5.0, 1.0);
+        for position in [
+            Point2::new(f64::NAN, 4.0),
+            Point2::new(f64::INFINITY, 4.0),
+            Point2::new(3.0, 4.0),
+            Point2::new(3.0 + 2.5, 4.0),
+        ] {
+            for rs in [5.0, 2.0 * f64::EPSILON, 0.0] {
+                let cfg = CmaConfig {
+                    sensing_radius: rs,
+                    ..cfg()
+                };
+                let fast = step_with(position, 0.0, &sensed, &[], &cfg, hottest_sensed);
+                let slow = step_with(position, 0.0, &sensed, &[], &cfg, hottest_sensed_oracle);
+                match (fast, slow) {
+                    (Ok(a), Ok(b)) => assert_eq!(outcome_bits(&a), outcome_bits(&b)),
+                    (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+                    (a, b) => panic!("position {position}, rs {rs}: {a:?} vs {b:?}"),
+                }
+            }
+        }
+        // A NaN radius (no valid configuration has one) keeps every
+        // candidate in the oracle and none in the fast search; either
+        // way nothing beats a non-negative or NaN starting weight.
+        let position = Point2::new(3.0, 4.0);
+        for own in [0.0, 0.5, f64::NAN] {
+            let a = hottest_sensed(position, own, &sensed, f64::NAN);
+            let b = hottest_sensed_oracle(position, own, &sensed, f64::NAN);
+            assert_eq!(
+                (a.0.x.to_bits(), a.0.y.to_bits(), a.1.to_bits()),
+                (b.0.x.to_bits(), b.0.y.to_bits(), b.1.to_bits())
+            );
+        }
     }
 
     #[test]

@@ -84,6 +84,16 @@ pub fn fit_quadric(
     center_value: f64,
     samples: &[(Point2, f64)],
 ) -> Result<QuadricFit, CoreError> {
+    fit_quadric_over(center, center_value, samples.iter().copied())
+}
+
+/// [`fit_quadric`] over any sample sequence, accumulated in order — a
+/// caller can fit a filtered view of its samples without collecting it.
+pub(crate) fn fit_quadric_over(
+    center: Point2,
+    center_value: f64,
+    samples: impl IntoIterator<Item = (Point2, f64)>,
+) -> Result<QuadricFit, CoreError> {
     // Accumulate the 3×3 normal equations directly — the design matrix
     // has only three columns, so this is both exact and allocation-free
     // (important: this runs for every sensed position of every node at
@@ -91,7 +101,7 @@ pub fn fit_quadric(
     let mut ata = [[0.0f64; 3]; 3];
     let mut atz = [0.0f64; 3];
     let mut used = 0usize;
-    for &(p, z) in samples {
+    for (p, z) in samples {
         let x = p.x - center.x;
         let y = p.y - center.y;
         if x == 0.0 && y == 0.0 {

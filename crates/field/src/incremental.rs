@@ -508,6 +508,15 @@ mod tests {
     use crate::PeaksField;
     use cps_geometry::Rect;
 
+    /// Tile hit/miss counts are process-global, so a test that reads
+    /// them must not overlap another test's cache refreshes: every test
+    /// here holds this lock.
+    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn setting() -> (Rect, GridSpec, PeaksField) {
         let region = Rect::square(100.0).unwrap();
         (
@@ -528,6 +537,7 @@ mod tests {
 
     #[test]
     fn primed_refresh_matches_full_quadrature() {
+        let _serial = serial();
         let (region, grid, f) = setting();
         let positions: Vec<Point2> = region
             .corners()
@@ -545,6 +555,7 @@ mod tests {
 
     #[test]
     fn incremental_insertions_match_full_quadrature() {
+        let _serial = serial();
         let (region, grid, f) = setting();
         let mut positions: Vec<Point2> = region.corners().to_vec();
         let mut cache = DeltaCache::new(&f, &grid, Parallelism::serial());
@@ -570,6 +581,7 @@ mod tests {
 
     #[test]
     fn interior_insertion_recomputes_a_strict_tile_subset() {
+        let _serial = serial();
         let (region, grid, f) = setting();
         // A dense deployment keeps triangles small, and the corner
         // scaffolding keeps the hull fixed, so an interior insert must
@@ -602,6 +614,7 @@ mod tests {
 
     #[test]
     fn refresh_is_bit_identical_across_thread_counts_and_histories() {
+        let _serial = serial();
         let (region, grid, f) = setting();
         let mut positions: Vec<Point2> = region.corners().to_vec();
         positions.push(Point2::new(33.0, 41.0));
@@ -623,6 +636,7 @@ mod tests {
 
     #[test]
     fn changed_reference_is_detected_and_reprimed() {
+        let _serial = serial();
         let (region, grid, f) = setting();
         let positions: Vec<Point2> = region
             .corners()
@@ -643,6 +657,7 @@ mod tests {
 
     #[test]
     fn incompatible_grid_is_reported() {
+        let _serial = serial();
         let (region, grid, f) = setting();
         let cache = DeltaCache::new(&f, &grid, Parallelism::serial());
         assert!(cache.compatible(&grid));
@@ -652,6 +667,7 @@ mod tests {
 
     #[test]
     fn tiny_tile_and_degenerate_grid_still_agree() {
+        let _serial = serial();
         let region = Rect::square(10.0).unwrap();
         let grid = GridSpec::new(region, 2, 9).unwrap();
         let f = PeaksField::new(region, 5.0);

@@ -77,4 +77,4 @@ pub use ops::{ClampedField, ScaledField, SumField, TranslatedField};
 pub use par::Parallelism;
 pub use raster::{Kernel, RasterPlan};
 pub use reconstruct::ReconstructedSurface;
-pub use traits::{Field, Frozen, Static, TimeVaryingField};
+pub use traits::{lattice_keeps, Field, Frozen, Static, TimeVaryingField};

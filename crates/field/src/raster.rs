@@ -265,9 +265,14 @@ pub fn delta_rms_raster<F: Field + Sync>(
     );
     let plan = RasterPlan::build(surface.triangulation(), surface.samples(), grid);
     let nx = grid.nx();
+    let xs: Vec<f64> = (0..nx).map(|i| grid.point(i, 0).x).collect();
     let rows = map_rows(grid.ny(), par, |j| {
         let mut heights = vec![f64::NAN; nx];
         plan.fill_row_values(j, 0, nx - 1, &mut heights);
+        // `grid.point(i, j)` is `(xs[i], y)`: x depends on i alone and
+        // y on j alone, so the lattice row is the same set of points.
+        let y = grid.point(0, j).y;
+        let truth = reference.sample_lattice(&xs, &[y], None);
         let mut row_abs = 0.0;
         let mut row_sq = 0.0;
         for (i, &z) in heights.iter().enumerate() {
@@ -277,7 +282,7 @@ pub fn delta_rms_raster<F: Field + Sync>(
             } else {
                 z
             };
-            let d = reference.value(p) - approx;
+            let d = truth[i] - approx;
             row_abs += weight(grid, i, j) * d.abs();
             row_sq += d * d;
         }

@@ -29,6 +29,13 @@ pub trait Field {
         out
     }
 
+    /// Samples the field on the lattice `xs × ys` — see
+    /// [`TimeVaryingField::sample_lattice_at`], of which this is the
+    /// static counterpart. The default loops over [`Field::value`].
+    fn sample_lattice(&self, xs: &[f64], ys: &[f64], keep: Option<&[bool]>) -> Vec<f64> {
+        fill_lattice(xs, ys, keep, |p| self.value(p))
+    }
+
     /// Summary statistics of the field over `grid`.
     fn summarize(&self, grid: &GridSpec) -> Summary
     where
@@ -42,12 +49,48 @@ impl<F: Field + ?Sized> Field for &F {
     fn value(&self, p: Point2) -> f64 {
         (**self).value(p)
     }
+
+    fn sample_lattice(&self, xs: &[f64], ys: &[f64], keep: Option<&[bool]>) -> Vec<f64> {
+        (**self).sample_lattice(xs, ys, keep)
+    }
 }
 
 impl<F: Field + ?Sized> Field for Box<F> {
     fn value(&self, p: Point2) -> f64 {
         (**self).value(p)
     }
+
+    fn sample_lattice(&self, xs: &[f64], ys: &[f64], keep: Option<&[bool]>) -> Vec<f64> {
+        (**self).sample_lattice(xs, ys, keep)
+    }
+}
+
+/// Whether lattice point `k` (row-major) is requested by `keep`: every
+/// point without a mask, otherwise exactly the `true` entries (missing
+/// entries count as `false`).
+#[inline]
+pub fn lattice_keeps(keep: Option<&[bool]>, k: usize) -> bool {
+    keep.is_none_or(|mask| mask.get(k).copied().unwrap_or(false))
+}
+
+/// The reference lattice sampler behind the trait defaults: `value` at
+/// every kept point of `xs × ys`, row-major, NaN elsewhere.
+fn fill_lattice(
+    xs: &[f64],
+    ys: &[f64],
+    keep: Option<&[bool]>,
+    value: impl Fn(Point2) -> f64,
+) -> Vec<f64> {
+    let mut out = vec![f64::NAN; xs.len() * ys.len()];
+    for (j, &y) in ys.iter().enumerate() {
+        for (i, &x) in xs.iter().enumerate() {
+            let k = j * xs.len() + i;
+            if lattice_keeps(keep, k) {
+                out[k] = value(Point2::new(x, y));
+            }
+        }
+    }
+    out
 }
 
 /// A scalar field that also varies with time: `z = f(x, y, t)`.
@@ -58,6 +101,20 @@ pub trait TimeVaryingField {
     /// Field value at `p` at time `t`.
     fn value_at(&self, p: Point2, t: f64) -> f64;
 
+    /// Samples the field at time `t` on the lattice `xs × ys`: entry
+    /// `j·xs.len() + i` (row-major, `ys` outer) is the value at
+    /// `(xs[i], ys[j])`. With a `keep` mask (same indexing) only its
+    /// `true` points are sampled and the rest read NaN.
+    ///
+    /// Every sampled entry must be bitwise equal to
+    /// [`value_at`](TimeVaryingField::value_at) at that point — the
+    /// simulator's outputs depend on it. The default loops over
+    /// `value_at`; fields override it to share per-row, per-column and
+    /// per-instant work across the batch.
+    fn sample_lattice_at(&self, xs: &[f64], ys: &[f64], t: f64, keep: Option<&[bool]>) -> Vec<f64> {
+        fill_lattice(xs, ys, keep, |p| self.value_at(p, t))
+    }
+
     /// Borrows the field frozen at an instant, yielding a [`Field`].
     fn at_time(&self, t: f64) -> Frozen<'_, Self> {
         Frozen { inner: self, t }
@@ -67,6 +124,10 @@ pub trait TimeVaryingField {
 impl<F: TimeVaryingField + ?Sized> TimeVaryingField for &F {
     fn value_at(&self, p: Point2, t: f64) -> f64 {
         (**self).value_at(p, t)
+    }
+
+    fn sample_lattice_at(&self, xs: &[f64], ys: &[f64], t: f64, keep: Option<&[bool]>) -> Vec<f64> {
+        (**self).sample_lattice_at(xs, ys, t, keep)
     }
 }
 
@@ -130,6 +191,10 @@ impl<F: TimeVaryingField + ?Sized> Field for Frozen<'_, F> {
     fn value(&self, p: Point2) -> f64 {
         self.inner.value_at(p, self.t)
     }
+
+    fn sample_lattice(&self, xs: &[f64], ys: &[f64], keep: Option<&[bool]>) -> Vec<f64> {
+        self.inner.sample_lattice_at(xs, ys, self.t, keep)
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +248,31 @@ mod tests {
         let f5 = w.at_time(5.0);
         assert_eq!(f5.time(), 5.0);
         assert_eq!(f5.value(Point2::new(1.0, 0.0)), 6.0);
+    }
+
+    #[test]
+    fn lattice_defaults_sample_row_major_and_honour_the_mask() {
+        let xs = [0.0, 1.0, 2.0];
+        let ys = [10.0, 20.0];
+        let all = Gradient.sample_lattice(&xs, &ys, None);
+        assert_eq!(all, vec![20.0, 21.0, 22.0, 40.0, 41.0, 42.0]);
+        let keep = [true, false, true, false, true];
+        let some = Gradient.sample_lattice(&xs, &ys, Some(&keep));
+        assert_eq!(
+            some[..5].iter().map(|v| v.is_nan()).collect::<Vec<_>>(),
+            [false, true, false, true, false]
+        );
+        assert_eq!((some[0], some[2], some[4]), (20.0, 22.0, 41.0));
+        // Entries past the end of a short mask are not sampled.
+        assert!(some[5].is_nan());
+        let w = Wave;
+        let frozen = w.at_time(5.0);
+        assert_eq!(
+            frozen.sample_lattice(&xs, &ys, None),
+            w.sample_lattice_at(&xs, &ys, 5.0, None)
+        );
+        let by_ref = <&Wave as TimeVaryingField>::sample_lattice_at(&&w, &xs, &ys, 5.0, None);
+        assert_eq!(by_ref[4], 6.0);
     }
 
     #[test]

@@ -1,10 +1,58 @@
 //! Property tests on the field substrate.
 
 use cps_field::{
-    delta, Field, GaussianBlob, GaussianMixtureField, GridField, KeyframeField, TimeVaryingField,
+    delta, DriftingField, Field, GaussianBlob, GaussianMixtureField, GridField, KeyframeField,
+    PeaksField, Static, TimeVaryingField,
 };
 use cps_geometry::{GridSpec, Point2, Rect};
+use cps_linalg::Vec2;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// A random lattice (xs, ys) around `(cx, cy)` and a random keep-mask
+/// (or none) drawn from `seed`.
+fn random_lattice(seed: u64, cx: f64, cy: f64) -> (Vec<f64>, Vec<f64>, Option<Vec<bool>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spacing = rng.gen_range(0.1..3.0);
+    let xs: Vec<f64> = (0..rng.gen_range(1..14))
+        .map(|i| cx + i as f64 * spacing)
+        .collect();
+    let ys: Vec<f64> = (0..rng.gen_range(1..14))
+        .map(|j| cy - j as f64 * spacing * 0.7)
+        .collect();
+    let mask = (rng.gen_range(0.0..1.0) < 0.7).then(|| {
+        // Occasionally short, so trailing points are unrequested.
+        let len = xs.len() * ys.len() - rng.gen_range(0usize..3).min(xs.len() * ys.len());
+        (0..len).map(|_| rng.gen_range(0.0..1.0) < 0.6).collect()
+    });
+    (xs, ys, mask)
+}
+
+/// Asserts `lattice` holds `point(x, y)` bit for bit at every kept
+/// entry and NaN elsewhere.
+fn assert_lattice_matches(
+    lattice: &[f64],
+    xs: &[f64],
+    ys: &[f64],
+    mask: Option<&[bool]>,
+    point: impl Fn(Point2) -> f64,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(lattice.len(), xs.len() * ys.len());
+    for (j, &y) in ys.iter().enumerate() {
+        for (i, &x) in xs.iter().enumerate() {
+            let k = j * xs.len() + i;
+            let got = lattice[k];
+            if cps_field::lattice_keeps(mask, k) {
+                prop_assert_eq!(got.to_bits(), point(Point2::new(x, y)).to_bits());
+            } else {
+                prop_assert!(got.is_nan());
+            }
+        }
+    }
+    Ok(())
+}
 
 fn blobs_strategy() -> impl Strategy<Value = GaussianMixtureField> {
     prop::collection::vec(
@@ -65,6 +113,32 @@ proptest! {
         let kf = KeyframeField::new(vec![(5.0, f0), (15.0, f1)]).unwrap();
         let v = kf.value_at(Point2::new(px, py), t);
         prop_assert!(v >= lo - 1e-12 && v <= hi + 1e-12, "{v} outside [{lo}, {hi}]");
+    }
+
+    /// The default lattice samplers are pointwise sampling: for a
+    /// static field through `Static`/`Frozen`, and for a drifting field
+    /// at any instant.
+    #[test]
+    fn default_lattice_sampling_is_pointwise(
+        seed in any::<u64>(),
+        cx in -20.0f64..120.0,
+        cy in -20.0f64..120.0,
+        t in -50.0f64..500.0,
+        vx in -2.0f64..2.0,
+        vy in -2.0f64..2.0,
+    ) {
+        let (xs, ys, mask) = random_lattice(seed, cx, cy);
+        let mask = mask.as_deref();
+        let peaks = PeaksField::new(Rect::square(100.0).unwrap(), 8.0);
+        let fixed = Static::new(peaks);
+        assert_lattice_matches(&fixed.sample_lattice_at(&xs, &ys, t, mask), &xs, &ys, mask, |p| fixed.value_at(p, t))?;
+        assert_lattice_matches(&fixed.sample_lattice(&xs, &ys, mask), &xs, &ys, mask, |p| peaks.value(p))?;
+        let drifting = DriftingField::new(peaks, Vec2::new(vx, vy));
+        assert_lattice_matches(&drifting.sample_lattice_at(&xs, &ys, t, mask), &xs, &ys, mask, |p| drifting.value_at(p, t))?;
+        let frozen = drifting.at_time(t);
+        assert_lattice_matches(&frozen.sample_lattice(&xs, &ys, mask), &xs, &ys, mask, |p| drifting.value_at(p, t))?;
+        let by_ref = &drifting;
+        assert_lattice_matches(&by_ref.sample_lattice_at(&xs, &ys, t, mask), &xs, &ys, mask, |p| drifting.value_at(p, t))?;
     }
 
     /// The δ metric is a pseudometric on fields: symmetric, zero on the

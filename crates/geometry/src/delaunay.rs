@@ -634,14 +634,19 @@ impl Triangulation {
     }
 
     /// Nearest inserted vertex to `p`, by linear scan (used as a
-    /// fallback for out-of-hull queries).
+    /// fallback for out-of-hull queries). Ties go to the lowest id; a
+    /// NaN query, whose distances are all NaN, gets the first vertex.
     pub fn nearest_vertex(&self, p: Point2) -> Option<VertexId> {
-        (0..self.vertex_count()).map(VertexId).min_by(|&a, &b| {
-            self.vertex(a)
-                .distance_squared(p)
-                .partial_cmp(&self.vertex(b).distance_squared(p))
-                .expect("finite distances compare")
-        })
+        (0..self.vertex_count())
+            .map(|i| (VertexId(i), self.vertex(VertexId(i)).distance_squared(p)))
+            .reduce(|best, cand| {
+                if cand.1.total_cmp(&best.1).is_lt() {
+                    cand
+                } else {
+                    best
+                }
+            })
+            .map(|(id, _)| id)
     }
 
     /// Verifies the Delaunay empty-circumcircle property over all real
@@ -885,6 +890,35 @@ mod tests {
         let mut dt = square_dt(10.0);
         let id = dt.insert(Point2::new(5.0, 5.0)).unwrap();
         assert_eq!(dt.nearest_vertex(Point2::new(5.2, 4.9)), Some(id));
+    }
+
+    #[test]
+    fn nearest_vertex_ties_go_to_the_first_vertex() {
+        let mut dt = square_dt(10.0);
+        let left = dt.insert(Point2::new(4.0, 5.0)).unwrap();
+        let right = dt.insert(Point2::new(6.0, 5.0)).unwrap();
+        assert!(left.0 < right.0);
+        assert_eq!(dt.nearest_vertex(Point2::new(5.0, 5.0)), Some(left));
+        // The centre of the square is equidistant from all four corners.
+        let dt = square_dt(10.0);
+        assert_eq!(dt.nearest_vertex(Point2::new(5.0, 5.0)), Some(VertexId(0)));
+    }
+
+    #[test]
+    fn nearest_vertex_survives_non_finite_queries() {
+        let mut dt = square_dt(10.0);
+        dt.insert(Point2::new(5.0, 5.0)).unwrap();
+        assert_eq!(
+            dt.nearest_vertex(Point2::new(f64::NAN, 1.0)),
+            Some(VertexId(0))
+        );
+        assert_eq!(
+            dt.nearest_vertex(Point2::new(f64::NAN, f64::NAN)),
+            Some(VertexId(0))
+        );
+        assert!(dt.nearest_vertex(Point2::new(f64::INFINITY, 5.0)).is_some());
+        let empty = Triangulation::new(Rect::square(10.0).unwrap());
+        assert_eq!(empty.nearest_vertex(Point2::new(1.0, 1.0)), None);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use delaunay::{LocateCache, LocateCursor, Triangulation, VertexId};
 pub use error::GeometryError;
 pub use hull::convex_hull;
 pub use index::GridIndex;
-pub use point::Point2;
+pub use point::{within, Point2};
 pub use polygon::{clip_polygon_halfplane, polygon_area, polygon_centroid};
 pub use region::{GridSpec, Rect};
 pub use triangle::Triangle;

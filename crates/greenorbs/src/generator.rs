@@ -17,7 +17,7 @@
 //! Node readings add per-reading measurement noise. Everything is
 //! seeded: the same [`ForestConfig`] always yields the same trace.
 
-use cps_field::TimeVaryingField;
+use cps_field::{lattice_keeps, TimeVaryingField};
 use cps_geometry::Point2;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,12 +74,59 @@ struct Feature {
 }
 
 impl Feature {
+    /// `((x − cx)/σx)²` against the centre `hours_past_noon` after
+    /// solar noon.
+    fn qx(&self, x: f64, hours_past_noon: f64) -> f64 {
+        let dx = (x - (self.center.x + self.drift.0 * hours_past_noon)) / self.sigma_x;
+        dx * dx
+    }
+
+    /// `((y − cy)/σy)²`, as [`Feature::qx`].
+    fn qy(&self, y: f64, hours_past_noon: f64) -> f64 {
+        let dy = (y - (self.center.y + self.drift.1 * hours_past_noon)) / self.sigma_y;
+        dy * dy
+    }
+
     fn value(&self, p: Point2, hours_past_noon: f64) -> f64 {
-        let cx = self.center.x + self.drift.0 * hours_past_noon;
-        let cy = self.center.y + self.drift.1 * hours_past_noon;
-        let dx = (p.x - cx) / self.sigma_x;
-        let dy = (p.y - cy) / self.sigma_y;
-        self.amplitude * (-0.5 * (dx * dx + dy * dy)).exp()
+        self.amplitude
+            * (-0.5 * (self.qx(p.x, hours_past_noon) + self.qy(p.y, hours_past_noon))).exp()
+    }
+
+    /// The exponent below which this feature's term is negligible.
+    ///
+    /// Every transmission term a [`LatentModel`] adds to its 0.04 shade
+    /// base is non-negative, so the running sum never drops below 0.04
+    /// and its ulp never below that of 0.04, which lies in
+    /// `[2⁻⁵, 2⁻⁴)`: 2⁻⁵⁷. A term below half of that, 2⁻⁵⁸, rounds
+    /// away — `t + x` is exactly `t` for every `0 ≤ x < 2⁻⁵⁸` under
+    /// round-to-nearest. For an exponent `a` below
+    /// `ln(2⁻⁵⁸ / amplitude) − 1` the computed term is
+    /// `amplitude · exp(a) < 2⁻⁵⁸ · e⁻¹ · (1 + 2⁻⁵⁰) < 2⁻⁵⁸`: the margin
+    /// of 1 dwarfs the few-ulp errors of `ln`, `exp` and the product.
+    /// So skipping such a term cannot change `t`. A NaN exponent is
+    /// never below the cutoff, so NaN still propagates.
+    fn negligible_exponent(&self) -> f64 {
+        (2f64.powi(-58) / self.amplitude).ln() - 1.0
+    }
+}
+
+/// Folds one transmission term into the running sum `t` of every kept
+/// point of a `cols.len() × rows.len()` lattice (row-major), given the
+/// term's operand for each column and each row.
+fn add_term(
+    t: &mut [f64],
+    kept: &[bool],
+    cols: &[f64],
+    rows: &[f64],
+    term: impl Fn(f64, f64, f64) -> f64,
+) {
+    for (j, &row) in rows.iter().enumerate() {
+        for (i, &col) in cols.iter().enumerate() {
+            let k = j * cols.len() + i;
+            if kept[k] {
+                t[k] = term(t[k], col, row);
+            }
+        }
     }
 }
 
@@ -92,6 +139,8 @@ pub(crate) struct LatentModel {
     flecks: Vec<Feature>,
     /// Smooth large-scale canopy-density variation.
     density_waves: Vec<(f64, f64, f64, f64)>, // (kx, ky, phase, amp)
+    /// [`Feature::negligible_exponent`] of each gap, then each fleck.
+    negligible: Vec<f64>,
 }
 
 impl LatentModel {
@@ -150,12 +199,18 @@ impl LatentModel {
                 rng.gen_range(0.02..0.06),
             ));
         }
+        let negligible = gaps
+            .iter()
+            .chain(&flecks)
+            .map(Feature::negligible_exponent)
+            .collect();
         LatentModel {
             side: cfg.side,
             start_hour_of_day: cfg.start_hour_of_day,
             gaps,
             flecks,
             density_waves,
+            negligible,
         }
     }
 
@@ -182,19 +237,83 @@ impl LatentModel {
         for (kx, ky, phase, amp) in &self.density_waves {
             t += 0.4 * amp * (kx * p.x + ky * p.y + phase).sin().abs();
         }
-        for g in &self.gaps {
-            t += g.value(p, 0.0);
-        }
-        for f in &self.flecks {
-            t += f.value(p, hours_past_noon);
+        for (f, h) in self.features(hours_past_noon) {
+            t += f.value(p, h);
         }
         t.clamp(0.0, 0.95)
+    }
+
+    /// Every Gaussian feature in summation order — the gaps, which do
+    /// not drift, then the flecks — with the hours past noon to place
+    /// it at.
+    fn features(&self, hours_past_noon: f64) -> impl Iterator<Item = (&Feature, f64)> {
+        let gaps = self.gaps.iter().map(|g| (g, 0.0));
+        gaps.chain(self.flecks.iter().map(move |f| (f, hours_past_noon)))
     }
 
     /// Light in KLux at position `p` and fractional trace hour `hour`.
     pub(crate) fn light(&self, p: Point2, hour: f64) -> f64 {
         let h = self.hour_of_day(hour);
         self.ambient(hour) * self.transmission(p, h - 12.0)
+    }
+
+    /// [`LatentModel::light`] at every kept point of the lattice
+    /// `xs × ys` (row-major, NaN where `keep` says no), bitwise equal
+    /// to the pointwise call.
+    ///
+    /// Every point's transmission is summed term by term in the
+    /// pointwise order, one term across the whole lattice at a time, so
+    /// each term's per-column and per-row operands (`kx·x`, `ky·y`, a
+    /// Gaussian's squared normalized offsets) are computed once per
+    /// column and row; the ambient level and hour once per batch. Two
+    /// kinds of Gaussian term are skipped because they cannot change
+    /// the result: terms below [`Feature::negligible_exponent`], and
+    /// every term once a point's sum has reached the 0.95 clamp — a
+    /// sum that is not NaN proves the point's coordinates are not NaN,
+    /// so the terms still to come are non-negative and the clamp
+    /// returns 0.95 whatever they add.
+    fn light_lattice(&self, xs: &[f64], ys: &[f64], hour: f64, keep: Option<&[bool]>) -> Vec<f64> {
+        let ambient = self.ambient(hour);
+        let hours_past_noon = self.hour_of_day(hour) - 12.0;
+        let kept: Vec<bool> = (0..xs.len() * ys.len())
+            .map(|k| lattice_keeps(keep, k))
+            .collect();
+        let mut t = vec![0.04; kept.len()];
+        let mut cols = Vec::with_capacity(xs.len());
+        let mut rows = Vec::with_capacity(ys.len());
+        for &(kx, ky, phase, amp) in &self.density_waves {
+            cols.clear();
+            cols.extend(xs.iter().map(|&x| kx * x));
+            rows.clear();
+            rows.extend(ys.iter().map(|&y| ky * y));
+            add_term(&mut t, &kept, &cols, &rows, |t, kx_x, ky_y| {
+                t + 0.4 * amp * (kx_x + ky_y + phase).sin().abs()
+            });
+        }
+        for ((f, h), &cutoff) in self.features(hours_past_noon).zip(&self.negligible) {
+            cols.clear();
+            cols.extend(xs.iter().map(|&x| f.qx(x, h)));
+            rows.clear();
+            rows.extend(ys.iter().map(|&y| f.qy(y, h)));
+            add_term(&mut t, &kept, &cols, &rows, |t, qx, qy| {
+                let a = -0.5 * (qx + qy);
+                if a < cutoff || t >= 0.95 {
+                    t
+                } else {
+                    t + f.amplitude * a.exp()
+                }
+            });
+        }
+        t.iter()
+            .zip(&kept)
+            .map(|(&t, &kept)| {
+                if kept {
+                    ambient * t.clamp(0.0, 0.95)
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect()
     }
 
     /// Temperature in °C.
@@ -262,6 +381,10 @@ impl TimeVaryingField for LatentLightField {
     fn value_at(&self, p: Point2, t: f64) -> f64 {
         self.model.light(p, t / 60.0)
     }
+
+    fn sample_lattice_at(&self, xs: &[f64], ys: &[f64], t: f64, keep: Option<&[bool]>) -> Vec<f64> {
+        self.model.light_lattice(xs, ys, t / 60.0, keep)
+    }
 }
 
 /// Generates node metadata, readings and the latent model.
@@ -301,6 +424,7 @@ pub(crate) fn generate(cfg: &ForestConfig) -> (Vec<NodeMeta>, Vec<SensorReading>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> ForestConfig {
         ForestConfig {
@@ -370,5 +494,134 @@ mod tests {
         let ratio_q = model.light(q, 14.0) / model.light(q, 10.0).max(1e-9);
         // Pure rescaling would give identical ratios everywhere.
         assert!((ratio_p - ratio_q).abs() > 1e-3);
+    }
+
+    /// Asserts the lattice path reproduces `value_at` bit for bit at
+    /// every kept point and leaves the rest NaN.
+    fn assert_lattice_bitwise(
+        field: &LatentLightField,
+        xs: &[f64],
+        ys: &[f64],
+        minutes: f64,
+        keep: Option<&[bool]>,
+    ) {
+        let got = field.sample_lattice_at(xs, ys, minutes, keep);
+        assert_eq!(got.len(), xs.len() * ys.len());
+        for (j, &y) in ys.iter().enumerate() {
+            for (i, &x) in xs.iter().enumerate() {
+                let k = j * xs.len() + i;
+                if lattice_keeps(keep, k) {
+                    let want = field.value_at(Point2::new(x, y), minutes);
+                    assert_eq!(
+                        got[k].to_bits(),
+                        want.to_bits(),
+                        "({x}, {y}) at t = {minutes}: lattice {} vs value_at {want}",
+                        got[k]
+                    );
+                } else {
+                    assert!(got[k].is_nan());
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random forests, lattices, instants and masks: the lattice
+        /// path is `value_at`, bit for bit.
+        #[test]
+        fn lattice_sampling_is_bitwise_value_at(
+            seed in any::<u64>(),
+            cx in -20.0f64..160.0,
+            cy in -20.0f64..160.0,
+            minutes in -60.0f64..1500.0,
+            spacing in 0.05f64..6.0,
+            mask_seed in any::<u64>(),
+        ) {
+            let field = LatentLightField::new(&ForestConfig { seed, ..ForestConfig::default() });
+            let mut rng = StdRng::seed_from_u64(mask_seed);
+            let xs: Vec<f64> = (0..rng.gen_range(1usize..15)).map(|i| cx + i as f64 * spacing).collect();
+            let ys: Vec<f64> = (0..rng.gen_range(1usize..15)).map(|j| cy + j as f64 * spacing).collect();
+            let mask: Vec<bool> = (0..xs.len() * ys.len()).map(|_| rng.gen_range(0.0..1.0) < 0.6).collect();
+            // Daylight only when the instant is; the night branch too.
+            assert_lattice_bitwise(&field, &xs, &ys, minutes, None);
+            assert_lattice_bitwise(&field, &xs, &ys, minutes, Some(&mask));
+            assert_lattice_bitwise(&field, &xs, &ys, 12.0 * 60.0 + minutes / 10.0, Some(&mask));
+        }
+    }
+
+    #[test]
+    fn lattice_sampling_is_exact_across_the_cull_threshold() {
+        let (mut skipped, mut summed) = (0, 0);
+        for seed in 0..6u64 {
+            let field = LatentLightField::new(&ForestConfig {
+                seed,
+                ..ForestConfig::default()
+            });
+            let minutes = 11.0 * 60.0 + 37.0 * seed as f64;
+            let hours_past_noon = field.model.hour_of_day(minutes / 60.0) - 12.0;
+            let model = &field.model;
+            for ((f, h), &cutoff) in model.features(hours_past_noon).zip(&model.negligible) {
+                let cx = f.center.x + f.drift.0 * h;
+                let cy = f.center.y + f.drift.1 * h;
+                // Radii at which the exponent crosses the cutoff, and
+                // at which the term itself crosses 2⁻⁵⁸, with points a
+                // few ulps either side.
+                let mut xs = Vec::new();
+                for a in [cutoff, cutoff + 1.0] {
+                    let r = f.sigma_x * (-2.0 * a).sqrt();
+                    for k in -4..=4 {
+                        xs.push(cx + r * (1.0 + k as f64 * 1e-15));
+                        xs.push(cx - r * (1.0 + k as f64 * 1e-15));
+                    }
+                }
+                let ys = [cy, cy + 1e-7];
+                for &x in &xs {
+                    if -0.5 * (f.qx(x, h) + f.qy(cy, h)) < cutoff {
+                        skipped += 1;
+                    } else {
+                        summed += 1;
+                    }
+                }
+                assert_lattice_bitwise(&field, &xs, &ys, minutes, None);
+            }
+        }
+        assert!(
+            skipped > 100 && summed > 100,
+            "{skipped} skipped, {summed} summed"
+        );
+    }
+
+    #[test]
+    fn lattice_sampling_is_exact_around_the_clamp() {
+        let (mut clamped, mut free) = (0, 0);
+        for seed in 0..8u64 {
+            let field = LatentLightField::new(&ForestConfig {
+                seed,
+                ..ForestConfig::default()
+            });
+            let minutes = 12.0 * 60.0 + 5.0 * seed as f64;
+            let hours_past_noon = field.model.hour_of_day(minutes / 60.0) - 12.0;
+            for f in &field.model.flecks {
+                // Walk out from the fleck centre, through the clamped
+                // core (if any) and across the 0.95 level.
+                let cx = f.center.x + f.drift.0 * hours_past_noon;
+                let cy = f.center.y + f.drift.1 * hours_past_noon;
+                let xs: Vec<f64> = (0..240).map(|i| cx + i as f64 * 0.05).collect();
+                let ys = [cy, cy + 0.25];
+                for &y in &ys {
+                    for &x in &xs {
+                        if field.model.transmission(Point2::new(x, y), hours_past_noon) == 0.95 {
+                            clamped += 1;
+                        } else {
+                            free += 1;
+                        }
+                    }
+                }
+                assert_lattice_bitwise(&field, &xs, &ys, minutes, None);
+            }
+        }
+        assert!(clamped > 0 && free > 0, "{clamped} clamped, {free} free");
     }
 }

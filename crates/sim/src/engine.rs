@@ -4,7 +4,7 @@ use cps_core::ostd::CmaConfig;
 use cps_core::{CoreError, CpsConfig, EvalOptions};
 use cps_field::par::map_rows;
 use cps_field::{Parallelism, TimeVaryingField};
-use cps_geometry::{Point2, Rect};
+use cps_geometry::{within, Point2, Rect};
 
 use crate::checkpoint::{FaultState, SimSnapshot};
 use crate::fault::{FaultEvent, FaultPlan, FaultRuntime};
@@ -182,8 +182,7 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
             map_rows(sim.nodes.len(), sim.config.parallelism, |i| {
                 let p = sim.nodes[i].position;
                 debug_assert!(sim.nodes[i].alive);
-                let sensed = sim.sense(p);
-                let value = sim.field.value_at(p, sim.time);
+                let (sensed, value) = sim.read_at(p, sim.time);
                 Ok::<f64, CoreError>(
                     cps_core::ostd::fit_quadric(p, value, &sensed)?.gaussian_curvature(),
                 )
@@ -490,30 +489,56 @@ impl<F: TimeVaryingField> Simulation<F> {
         &self.cma
     }
 
-    /// Everything a node senses within `Rs`: `(position, value)` on the
-    /// configured lattice.
+    /// Everything a node at `center` senses within `Rs` at `time` —
+    /// `(position, value)` on the configured lattice — together with
+    /// its own reading at `center`. (A stuck sensor passes the instant
+    /// it froze.)
+    ///
+    /// The own reading is the disc's centre sample: the lattice point
+    /// at offset zero is `center` bit for bit, so its value is
+    /// `value_at(center, time)` without a second evaluation. Only a
+    /// `-0.0` coordinate, which `x + 0.0` turns into `+0.0`, makes the
+    /// field answer for `center` directly.
+    pub(crate) fn read_at(&self, center: Point2, time: f64) -> (Vec<(Point2, f64)>, f64) {
+        let sensed = self.sense_at(center, time);
+        let at_center =
+            |q: Point2| q.x.to_bits() == center.x.to_bits() && q.y.to_bits() == center.y.to_bits();
+        let own = match sensed.iter().find(|(q, _)| at_center(*q)) {
+            Some(&(_, z)) => z,
+            None => self.field.value_at(center, time),
+        };
+        (sensed, own)
+    }
+
+    /// The sensing disc of [`Simulation::read_at`]: the
+    /// `(2·steps + 1)²` lattice at `sense_spacing`, sampled in one
+    /// [`TimeVaryingField::sample_lattice_at`] batch, keeping the
+    /// points within `Rs` and listing them `x`-offset-major.
     ///
     /// Sensing deliberately reaches *outside* the region of interest: a
     /// physical sensor near the border still measures its full
     /// surroundings. Clipping the disc at the border would hand border
     /// nodes one-sided sample sets whose quadric fits alias the local
     /// gradient into phantom curvature, sending them chasing artefacts.
-    pub(crate) fn sense(&self, center: Point2) -> Vec<(Point2, f64)> {
-        self.sense_at(center, self.time)
-    }
-
-    /// [`Simulation::sense`] at an explicit time — a stuck sensor keeps
-    /// sampling the field as of the instant it froze.
-    pub(crate) fn sense_at(&self, center: Point2, time: f64) -> Vec<(Point2, f64)> {
+    fn sense_at(&self, center: Point2, time: f64) -> Vec<(Point2, f64)> {
         let rs = self.config.cps.sensing_radius();
         let s = self.config.sense_spacing;
         let steps = (rs / s).floor() as i32;
-        let mut out = Vec::with_capacity(((2 * steps + 1) * (2 * steps + 1)) as usize);
-        for dx in -steps..=steps {
-            for dy in -steps..=steps {
-                let p = Point2::new(center.x + dx as f64 * s, center.y + dy as f64 * s);
-                if center.distance(p) <= rs {
-                    out.push((p, self.field.value_at(p, time)));
+        let xs: Vec<f64> = (-steps..=steps).map(|d| center.x + d as f64 * s).collect();
+        let ys: Vec<f64> = (-steps..=steps).map(|d| center.y + d as f64 * s).collect();
+        let n = xs.len();
+        let mut keep = vec![false; n * n];
+        for (j, &y) in ys.iter().enumerate() {
+            for (i, &x) in xs.iter().enumerate() {
+                keep[j * n + i] = within(center, Point2::new(x, y), rs);
+            }
+        }
+        let values = self.field.sample_lattice_at(&xs, &ys, time, Some(&keep));
+        let mut out = Vec::with_capacity(n * n);
+        for (i, &x) in xs.iter().enumerate() {
+            for (j, &y) in ys.iter().enumerate() {
+                if keep[j * n + i] {
+                    out.push((Point2::new(x, y), values[j * n + i]));
                 }
             }
         }
@@ -761,7 +786,7 @@ impl CmaBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cps_field::{GaussianBlob, PeaksField, PlaneField, Static};
+    use cps_field::{DriftingField, GaussianBlob, PeaksField, PlaneField, Static};
     use cps_network::UnitDiskGraph;
 
     fn region() -> Rect {
@@ -797,6 +822,87 @@ mod tests {
             .config(bad_spacing)
             .run(f)
             .is_err());
+    }
+
+    /// The reference sensing disc, sampled point by point: offsets
+    /// `d·spacing` from the centre, kept by `hypot` distance,
+    /// `x`-offset-major.
+    fn sense_pointwise<F: TimeVaryingField>(
+        sim: &Simulation<F>,
+        center: Point2,
+        time: f64,
+    ) -> Vec<(Point2, f64)> {
+        let rs = sim.config.cps.sensing_radius();
+        let s = sim.config.sense_spacing;
+        let steps = (rs / s).floor() as i32;
+        let mut out = Vec::new();
+        for dx in -steps..=steps {
+            for dy in -steps..=steps {
+                let p = Point2::new(center.x + dx as f64 * s, center.y + dy as f64 * s);
+                if center.distance(p) <= rs {
+                    out.push((p, sim.field.value_at(p, time)));
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(samples: &[(Point2, f64)]) -> Vec<[u64; 3]> {
+        samples
+            .iter()
+            .map(|(p, z)| [p.x.to_bits(), p.y.to_bits(), z.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn lattice_sensing_matches_pointwise_sensing_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e45e);
+        let field = DriftingField::new(
+            PeaksField::new(region(), 8.0),
+            cps_linalg::Vec2::new(0.3, -0.2),
+        );
+        let mut kept = std::collections::BTreeSet::new();
+        for (rs, spacing) in [(5.0, 1.0), (5.0, 0.7), (4.0, 0.35), (6.5, 2.5), (3.0, 1.5)] {
+            let cps = CpsConfig::builder().sensing_radius(rs).build().unwrap();
+            let config = SimConfig {
+                cps,
+                sense_spacing: spacing,
+                ..SimConfig::default()
+            };
+            let sim = CmaBuilder::new(region(), grid16())
+                .config(config)
+                .run(field)
+                .unwrap();
+            for case in 0..300 {
+                let mut center = Point2::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
+                if case % 50 == 0 {
+                    // Whole-number centres put rim offsets such as
+                    // (3, 4) at exactly Rs.
+                    center = Point2::new(center.x.round(), center.y.round());
+                }
+                if case == 7 {
+                    center = Point2::new(-0.0, 50.0);
+                }
+                let time = rng.gen_range(0.0..200.0);
+                let want = sense_pointwise(&sim, center, time);
+                let (sensed, own) = sim.read_at(center, time);
+                assert_eq!(
+                    bits(&sensed),
+                    bits(&want),
+                    "rs {rs}, spacing {spacing}, centre {center}"
+                );
+                assert_eq!(own.to_bits(), sim.field.value_at(center, time).to_bits());
+                if (rs, spacing) == (5.0, 1.0) {
+                    kept.insert(sensed.len());
+                }
+            }
+        }
+        // The float disc test keeps between 69 and 81 of the lattice
+        // points, depending on where the 12 rim points at exactly Rs
+        // round to.
+        assert!(kept.iter().all(|k| (69..=81).contains(k)), "{kept:?}");
+        assert!(kept.len() > 1, "{kept:?}");
     }
 
     #[test]

@@ -356,7 +356,7 @@ impl<F: TimeVaryingField + Sync> Stage<F> for OptimizeStage {
                     SensorFault::Stuck { frozen_time } => frozen_time,
                     _ => this.time,
                 };
-                let sensed = this.sense_at(p, sense_time);
+                let (sensed, mut value) = this.read_at(p, sense_time);
                 let neighbors: Vec<NeighborInfo> = graph
                     .neighbors(i)
                     .iter()
@@ -366,7 +366,6 @@ impl<F: TimeVaryingField + Sync> Stage<F> for OptimizeStage {
                         curvature: this.nodes[alive_ids[j]].curvature,
                     })
                     .collect();
-                let mut value = this.field.value_at(p, sense_time);
                 if let SensorFault::Outlier(delta) = fault {
                     // Corrupt only the node's own point reading: the
                     // lattice is intact, so the quadric fit sees a
