@@ -188,6 +188,9 @@ impl FraBuilder {
         let obs_threads = par.threads();
         let mut trajectory: Option<Vec<f64>> = self.track_delta.then(Vec::new);
         let mut cache: Option<DeltaCache> = None;
+        // The relay plan of the last accepted candidate, which is the
+        // next foresight step's plan.
+        let mut accepted_plan: Option<RelayPlan> = None;
 
         loop {
             let remaining = self.k - chosen.len();
@@ -196,14 +199,13 @@ impl FraBuilder {
             }
 
             // Foresight (lines 5–8): how many relays would connecting
-            // the current deployment cost?
+            // the current deployment cost? After a refinement pick the
+            // budget check already planned for exactly this deployment.
             let plan = {
                 let _t = cps_obs::time(cps_obs::Phase::FraForesight, obs_threads);
-                if chosen.len() >= 2 {
-                    let graph = UnitDiskGraph::new(chosen.clone(), self.comm_radius)?;
-                    RelayPlan::for_graph(&graph)
-                } else {
-                    RelayPlan::default()
+                match accepted_plan.take() {
+                    Some(plan) => plan,
+                    None => self.relay_plan(&chosen)?,
                 }
             };
             debug_assert!(
@@ -260,13 +262,9 @@ impl FraBuilder {
                     // budget to connect everything?
                     let mut with_candidate = chosen.clone();
                     with_candidate.push(candidate);
-                    let need = if with_candidate.len() >= 2 {
-                        let g = UnitDiskGraph::new(with_candidate, self.comm_radius)?;
-                        RelayPlan::for_graph(&g).relay_count()
-                    } else {
-                        0
-                    };
-                    if need <= budget_after {
+                    let candidate_plan = self.relay_plan(&with_candidate)?;
+                    if candidate_plan.relay_count() <= budget_after {
+                        accepted_plan = Some(candidate_plan);
                         break Some(candidate);
                     }
                     rejected.push(errors.flat_index_of(candidate));
@@ -299,7 +297,6 @@ impl FraBuilder {
                         errors.recompute_region_kernel(
                             rect.min(),
                             rect.max(),
-                            reference,
                             &dt,
                             &zs,
                             par,
@@ -310,7 +307,6 @@ impl FraBuilder {
                         errors.recompute_region_kernel(
                             Point2::new(lo.x - margin, lo.y - margin),
                             Point2::new(hi.x + margin, hi.y + margin),
-                            reference,
                             &dt,
                             &zs,
                             par,
@@ -356,6 +352,16 @@ impl FraBuilder {
             relays,
             delta_trajectory: trajectory,
         })
+    }
+
+    /// The relay plan that would connect `positions` (empty for fewer
+    /// than two).
+    fn relay_plan(&self, positions: &[Point2]) -> Result<RelayPlan, CoreError> {
+        if positions.len() < 2 {
+            return Ok(RelayPlan::default());
+        }
+        let graph = UnitDiskGraph::new(positions.to_vec(), self.comm_radius)?;
+        Ok(RelayPlan::for_graph(&graph))
     }
 
     /// δ of the refinement surface against the reference: the constant

@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::generator::{self, ForestConfig};
 use crate::records::{Channel, NodeMeta, SensorReading};
+use crate::smooth::KernelSmoother;
 use crate::TraceError;
 
 /// Default Gaussian kernel bandwidth (metres) used to smooth scattered
@@ -118,7 +119,8 @@ impl Dataset {
     /// Scattered readings are interpolated by Gaussian-kernel
     /// (Nadaraya–Watson) smoothing, which keeps the surface smooth
     /// enough to carry meaningful Gaussian curvature for the OSTD
-    /// algorithms.
+    /// algorithms. Terms too small to change the kernel sums are
+    /// skipped; the result is bit-identical to summing every reading.
     ///
     /// # Errors
     ///
@@ -152,7 +154,8 @@ impl Dataset {
     /// # Errors
     ///
     /// As [`Dataset::region_field`]; additionally
-    /// [`TraceError::Field`] when `bandwidth` is not positive.
+    /// [`TraceError::InvalidBandwidth`] when `bandwidth` is not positive
+    /// and finite.
     pub fn region_field_with_bandwidth(
         &self,
         region: Rect,
@@ -161,8 +164,8 @@ impl Dataset {
         resolution: usize,
         bandwidth: f64,
     ) -> Result<GridField, TraceError> {
-        if !bandwidth.is_finite() || bandwidth <= 0.0 {
-            return Err(TraceError::Field(cps_field::FieldError::NonFiniteValue));
+        if !(bandwidth.is_finite() && bandwidth > 0.0) {
+            return Err(TraceError::InvalidBandwidth { bandwidth });
         }
         let readings = self.readings_at(hour)?;
         // Restrict to nodes near the region: the kernel's reach is
@@ -182,26 +185,8 @@ impl Dataset {
         }
         let grid =
             GridSpec::new(region, resolution, resolution).map_err(cps_field::FieldError::from)?;
-        let two_h2 = 2.0 * bandwidth * bandwidth;
-        let field = GridField::from_fn(grid, |p| {
-            let mut num = 0.0;
-            let mut den = 0.0;
-            for &(q, z) in &local {
-                let w = (-p.distance_squared(q) / two_h2).exp();
-                num += w * z;
-                den += w;
-            }
-            if den > 1e-300 {
-                num / den
-            } else {
-                // Far from every node: fall back to the nearest one.
-                local
-                    .iter()
-                    .min_by(|a, b| p.distance_squared(a.0).total_cmp(&p.distance_squared(b.0)))
-                    .map(|&(_, z)| z)
-                    .unwrap_or(0.0)
-            }
-        });
+        let mut smoother = KernelSmoother::new(&local, bandwidth, region);
+        let field = GridField::from_fn(grid, |p| smoother.value(p));
         Ok(field)
     }
 
@@ -319,6 +304,75 @@ mod tests {
             d.region_field(far, Channel::Light, 0, 11),
             Err(TraceError::EmptyRegion)
         ));
+    }
+
+    #[test]
+    fn region_fields_match_the_plain_kernel_sum_bitwise() {
+        // Every channel, day and night, several bandwidths and a region
+        // reaching past the plot edge: the pruned smoothing must equal
+        // the plain loop over every local reading.
+        let d = small_dataset();
+        let regions = [
+            Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap(),
+            Rect::new(Point2::new(-10.0, 60.0), Point2::new(40.0, 170.0)).unwrap(),
+        ];
+        for (case, channel) in [Channel::Light, Channel::Temperature, Channel::Humidity]
+            .into_iter()
+            .enumerate()
+        {
+            for hour in [2, 10, 13] {
+                for (r, &region) in regions.iter().enumerate() {
+                    let bandwidth = [1.5, 4.0, 7.0][(case + r) % 3];
+                    let f = d
+                        .region_field_with_bandwidth(region, channel, hour, 41, bandwidth)
+                        .unwrap();
+                    let expanded = region.expanded(3.0 * bandwidth);
+                    let local: Vec<(Point2, f64)> = d
+                        .readings_at(hour)
+                        .unwrap()
+                        .into_iter()
+                        .map(|r| {
+                            let n = &d.nodes()[r.node_id as usize];
+                            (Point2::new(n.x, n.y), r.channel(channel))
+                        })
+                        .filter(|&(p, _)| expanded.contains(p))
+                        .collect();
+                    let two_h2 = 2.0 * bandwidth * bandwidth;
+                    for (i, j, p) in f.spec().iter() {
+                        let (mut num, mut den) = (0.0, 0.0);
+                        for &(q, z) in &local {
+                            let w = (-p.distance_squared(q) / two_h2).exp();
+                            num += w * z;
+                            den += w;
+                        }
+                        assert!(den > 1e-300);
+                        assert_eq!(
+                            f.at(i, j).to_bits(),
+                            (num / den).to_bits(),
+                            "{channel:?} hour {hour} region {r} at ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_bandwidths_are_typed_errors() {
+        let d = small_dataset();
+        let region = Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let got = d.region_field_with_bandwidth(region, Channel::Light, 10, 11, bad);
+            match got {
+                Err(TraceError::InvalidBandwidth { bandwidth }) => {
+                    assert_eq!(bandwidth.to_bits(), bad.to_bits())
+                }
+                other => panic!("bandwidth {bad}: {other:?}"),
+            }
+        }
+        assert!(d
+            .region_field_with_bandwidth(region, Channel::Light, 10, 11, 1e-3)
+            .is_ok());
     }
 
     #[test]

@@ -29,6 +29,11 @@ pub enum TraceError {
     Json(serde_json::Error),
     /// An underlying field operation failed.
     Field(cps_field::FieldError),
+    /// A smoothing kernel bandwidth was not positive and finite.
+    InvalidBandwidth {
+        /// The rejected bandwidth, metres.
+        bandwidth: f64,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -47,6 +52,12 @@ impl fmt::Display for TraceError {
             TraceError::Io(e) => write!(f, "i/o error: {e}"),
             TraceError::Json(e) => write!(f, "json error: {e}"),
             TraceError::Field(e) => write!(f, "field error: {e}"),
+            TraceError::InvalidBandwidth { bandwidth } => {
+                write!(
+                    f,
+                    "kernel bandwidth must be positive and finite, got {bandwidth}"
+                )
+            }
         }
     }
 }
@@ -97,5 +108,8 @@ mod tests {
             message: "bad float".into(),
         };
         assert!(p.to_string().contains("line 3"));
+        let b = TraceError::InvalidBandwidth { bandwidth: -1.0 };
+        assert!(b.to_string().contains("-1"));
+        assert!(Error::source(&b).is_none());
     }
 }

@@ -46,6 +46,7 @@ mod dataset;
 mod error;
 mod generator;
 mod records;
+mod smooth;
 mod stats;
 
 pub use dataset::Dataset;

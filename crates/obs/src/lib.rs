@@ -165,11 +165,14 @@ impl Counter {
 /// the speed-clamp-and-apply stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Phase {
-    /// FRA: the foresight argmax/budget loop choosing the next point.
+    /// FRA foresight: the relay-plan lookup that counts the relays
+    /// connecting the current deployment would cost.
     FraForesight,
-    /// FRA: error-grid refresh after an insertion.
+    /// FRA refinement: the max-local-error argmax and the budget check
+    /// of each candidate.
     FraRefine,
-    /// FRA: Delaunay retriangulation (point insertion + cavity walk).
+    /// FRA retriangulation: the Delaunay insert of the chosen point
+    /// plus the local-error refresh it triggers.
     FraRetriangulate,
     /// CMA: per-node curvature fit and force decision sweep.
     CmaCurvature,

@@ -2,7 +2,8 @@
 //! FRA plan → reconstruction → δ — spanning every crate.
 
 use cps::core::osd::{baselines, FraBuilder};
-use cps::core::DeltaEvaluator;
+use cps::core::{DeltaEvaluator, EvalOptions};
+use cps::field::{Kernel, Parallelism};
 use cps::geometry::{GridSpec, Point2, Rect};
 use cps::greenorbs::{Channel, Dataset, ForestConfig};
 use cps::network::UnitDiskGraph;
@@ -99,5 +100,44 @@ fn fra_networks_are_connected_across_budgets_and_radii() {
             );
             assert!(plan.positions.iter().all(|p| region.contains(*p)));
         }
+    }
+}
+
+#[test]
+fn fra_plan_replays_the_cli_golden() {
+    // `cps generate --seed 5` then `cps plan --k 80 --hour 12` (through
+    // the trace's JSON round trip, as the CLI reads it): the placement
+    // must match the recorded golden exactly, at any thread count and
+    // under both kernels.
+    let golden: Vec<Point2> = include_str!("goldens/plan_seed5_k80.csv")
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let (x, y) = line.split_once(',').unwrap();
+            Point2::new(x.parse().unwrap(), y.parse().unwrap())
+        })
+        .collect();
+    assert_eq!(golden.len(), 80);
+    let generated = Dataset::generate(&ForestConfig {
+        seed: 5,
+        ..ForestConfig::default()
+    });
+    let dataset = Dataset::from_json(&generated.to_json().unwrap()).unwrap();
+    let region = Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap();
+    let reference = dataset
+        .region_field(region, Channel::Light, 12, 101)
+        .unwrap();
+    let grid = GridSpec::new(region, 101, 101).unwrap();
+    for (par, kernel) in [
+        (Parallelism::serial(), Kernel::Raster),
+        (Parallelism::fixed(2), Kernel::Raster),
+        (Parallelism::fixed(2), Kernel::Walk),
+    ] {
+        let plan = FraBuilder::new(80, 10.0)
+            .grid(grid)
+            .evaluator(EvalOptions::new().parallelism(par).kernel(kernel))
+            .run(&reference)
+            .unwrap();
+        assert_eq!(plan.positions, golden, "{par:?} {kernel:?}");
     }
 }
