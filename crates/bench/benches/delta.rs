@@ -1,10 +1,10 @@
 //! Substrate bench: the δ quadrature (Eqn. 2) and reconstruction.
 
 use cps_core::osd::baselines;
-use cps_core::{DeltaEvaluator, EvalOptions};
-use cps_field::delta::surface_delta_rms_with;
+use cps_core::DeltaEvaluator;
 use cps_field::par::map_rows;
-use cps_field::{delta, Field, Kernel, Parallelism, PeaksField, PlaneField, ReconstructedSurface};
+use cps_field::raster::delta_rms_raster;
+use cps_field::{delta, Field, Parallelism, PeaksField, PlaneField, ReconstructedSurface};
 use cps_geometry::{GridSpec, Rect};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -57,51 +57,21 @@ fn bench_full_evaluation(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let nodes = baselines::random_deployment(region, 100, &mut rng);
     c.bench_function("evaluate_deployment_100_nodes", |b| {
-        let mut evaluator = DeltaEvaluator::new(&f, &grid, 10.0).parallelism(Parallelism::serial());
+        let evaluator = DeltaEvaluator::new(&f, &grid, 10.0).parallelism(Parallelism::serial());
         b.iter(|| evaluator.evaluate(&nodes).unwrap().delta)
     });
     let mut group = c.benchmark_group("evaluate_deployment_100_nodes_par");
     for (label, par) in policies() {
         group.bench_with_input(BenchmarkId::from_parameter(label), &par, |b, &par| {
-            let mut evaluator = DeltaEvaluator::new(&f, &grid, 10.0).parallelism(par);
+            let evaluator = DeltaEvaluator::new(&f, &grid, 10.0).parallelism(par);
             b.iter(|| evaluator.evaluate(&nodes).unwrap().delta)
         });
     }
     group.finish();
 }
 
-/// The tentpole case: re-evaluating a deployment after a single node
-/// moves. The tile cache re-integrates only the dirtied tiles; the
-/// uncached path sweeps the whole grid every time.
-fn bench_incremental_move(c: &mut Criterion) {
-    let region = Rect::square(100.0).unwrap();
-    let grid = GridSpec::new(region, 201, 201).unwrap();
-    let f = PeaksField::new(region, 8.0);
-    let mut rng = StdRng::seed_from_u64(5);
-    let nodes = baselines::random_deployment(region, 100, &mut rng);
-    let mut moved = nodes.clone();
-    moved[0].x += 0.5;
-    moved[0].y -= 0.25;
-    let mut group = c.benchmark_group("reevaluate_after_one_move_201x201");
-    group.sample_size(20);
-    for (label, cached) in [("uncached", false), ("cached", true)] {
-        group.bench_function(label, |b| {
-            let mut evaluator = DeltaEvaluator::new(&f, &grid, 10.0).options(
-                EvalOptions::new()
-                    .parallelism(Parallelism::serial())
-                    .cached(cached),
-            );
-            b.iter(|| {
-                let a = evaluator.evaluate(&nodes).unwrap().delta;
-                let b2 = evaluator.evaluate(&moved).unwrap().delta;
-                a + b2
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Raster scanline kernel vs legacy per-cell walk on the full δ+RMS
+/// Raster scanline kernel vs the per-cell walk pair
+/// (`volume_difference_with` + `rms_difference_with`) on the full δ+RMS
 /// evaluation, across grid resolutions.
 fn bench_kernels(c: &mut Criterion) {
     let region = Rect::square(100.0).unwrap();
@@ -115,11 +85,17 @@ fn bench_kernels(c: &mut Criterion) {
         let grid = GridSpec::new(region, resolution, resolution).unwrap();
         let mut group = c.benchmark_group(format!("delta_rms_{resolution}x{resolution}"));
         group.sample_size(if resolution >= 401 { 10 } else { 20 });
-        for (label, kernel) in [("walk", Kernel::Walk), ("raster", Kernel::Raster)] {
-            group.bench_function(label, |b| {
-                b.iter(|| surface_delta_rms_with(&f, &g, &grid, serial, kernel))
-            });
-        }
+        group.bench_function("walk", |b| {
+            b.iter(|| {
+                (
+                    delta::volume_difference_with(&f, &g, &grid, serial),
+                    delta::rms_difference_with(&f, &g, &grid, serial),
+                )
+            })
+        });
+        group.bench_function("raster", |b| {
+            b.iter(|| delta_rms_raster(&f, &g, &grid, serial))
+        });
         group.finish();
     }
 }
@@ -166,7 +142,6 @@ criterion_group!(
     bench_volume_difference,
     bench_volume_difference_parallel,
     bench_full_evaluation,
-    bench_incremental_move,
     bench_kernels,
     bench_pool_dispatch
 );

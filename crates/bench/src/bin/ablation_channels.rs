@@ -31,7 +31,7 @@ fn main() {
             .grid(grid)
             .run(&reference)
             .expect("FRA succeeds");
-        let mut evaluator = DeltaEvaluator::new(&reference, &grid, PAPER_RC);
+        let evaluator = DeltaEvaluator::new(&reference, &grid, PAPER_RC);
         let fe = evaluator
             .evaluate(&fra.positions)
             .expect("evaluation succeeds");

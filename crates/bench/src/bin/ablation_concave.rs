@@ -25,7 +25,7 @@ fn main() {
             .grid(grid)
             .run(&field)
             .expect("FRA succeeds on non-convex input");
-        let mut evaluator = DeltaEvaluator::new(&field, &grid, 10.0);
+        let evaluator = DeltaEvaluator::new(&field, &grid, 10.0);
         let fe = evaluator.evaluate(&fra.positions).expect("evaluation");
         assert!(
             fe.connected,

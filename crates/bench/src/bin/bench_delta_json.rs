@@ -17,11 +17,6 @@
 //! repository stays reviewable in-tree. Points written by older
 //! schema versions are salvaged field-by-field.
 //!
-//! The `incremental` section times the tile-cached [`DeltaEvaluator`]
-//! against full recompute on a sequence of single-node moves, and
-//! records the cps-obs tile counters that prove only dirtied tiles
-//! were re-integrated.
-//!
 //! Run with: `cargo run --release -p cps-bench --bin bench_delta_json`
 //! (writes `BENCH_delta.json` in the current directory; pass a path to
 //! override and an optional label for the trajectory points).
@@ -31,10 +26,9 @@ use std::fs;
 use std::time::Instant;
 
 use cps_core::osd::baselines;
-use cps_core::{DeltaEvaluator, EvalOptions};
-use cps_field::delta::surface_delta_rms_with;
 use cps_field::par::map_rows;
-use cps_field::{delta, Field, Kernel, Parallelism, PeaksField, ReconstructedSurface};
+use cps_field::raster::delta_rms_raster;
+use cps_field::{delta, DeltaTotals, Field, Parallelism, PeaksField, ReconstructedSurface};
 use cps_field::{GaussianBlob, Static};
 use cps_geometry::{GridSpec, Point2, Rect};
 use cps_sim::sweep::{run_sweep, SweepJob, SweepSpec};
@@ -55,19 +49,6 @@ struct ResultEntry {
     min_ns: u64,
     median_ns: u64,
     speedup_vs_serial: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct IncrementalEntry {
-    edits: usize,
-    uncached_total_ns: u64,
-    cached_total_ns: u64,
-    speedup: f64,
-    max_rel_error: f64,
-    tile_cache_hits: u64,
-    tile_cache_misses: u64,
-    tile_invalidations: u64,
-    tiles_total: u64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -130,7 +111,6 @@ struct BenchDoc {
     results: Vec<ResultEntry>,
     raster_vs_walk: Vec<KernelEntry>,
     pool: PoolEntry,
-    incremental: IncrementalEntry,
     sweep: SweepEntry,
     trajectory: Vec<TrajectoryPoint>,
 }
@@ -222,15 +202,9 @@ fn main() {
     ];
 
     // Determinism gate: every policy must reproduce the serial bits,
-    // on both kernels independently.
+    // on the walk pair and the raster kernel independently.
     let expected = delta::volume_difference(&reference, &rebuilt, &grid);
-    let expected_raster = surface_delta_rms_with(
-        &reference,
-        &rebuilt,
-        &grid,
-        Parallelism::serial(),
-        Kernel::Raster,
-    );
+    let expected_raster = delta_rms_raster(&reference, &rebuilt, &grid, Parallelism::serial());
     for (label, par) in policies {
         let got = delta::volume_difference_with(&reference, &rebuilt, &grid, par);
         assert_eq!(
@@ -238,7 +212,7 @@ fn main() {
             got.to_bits(),
             "{label} diverged from serial"
         );
-        let got = surface_delta_rms_with(&reference, &rebuilt, &grid, par, Kernel::Raster);
+        let got = delta_rms_raster(&reference, &rebuilt, &grid, par);
         assert_eq!(
             expected_raster.delta.to_bits(),
             got.delta.to_bits(),
@@ -284,7 +258,6 @@ fn main() {
 
     let raster_vs_walk = bench_kernels();
     let pool = bench_pool();
-    let incremental = bench_incremental(&reference, &grid, Rect::square(100.0).unwrap());
     let sweep = bench_sweep();
 
     let sha = git_sha();
@@ -324,7 +297,6 @@ fn main() {
         results,
         raster_vs_walk,
         pool,
-        incremental,
         sweep,
         trajectory,
     };
@@ -361,18 +333,6 @@ fn main() {
         doc.pool.spawn_median_ns as f64 / 1e6,
         doc.pool.pooled_median_ns as f64 / 1e6,
         doc.pool.speedup,
-    );
-    let inc = &doc.incremental;
-    println!(
-        "  incremental ({} moves): uncached {:.2} ms, cached {:.2} ms (x{:.2}); \
-         tiles refreshed {} / reused {} of {} total",
-        inc.edits,
-        inc.uncached_total_ns as f64 / 1e6,
-        inc.cached_total_ns as f64 / 1e6,
-        inc.speedup,
-        inc.tile_cache_misses,
-        inc.tile_cache_hits,
-        inc.tiles_total,
     );
     for w in &doc.sweep.workers {
         println!(
@@ -469,10 +429,25 @@ fn bench_sweep() -> SweepEntry {
     }
 }
 
+/// The per-cell walk pair the raster kernel replaced: one
+/// point-location walk per grid cell for the δ sweep and again for the
+/// RMS sweep.
+fn walk_delta_rms(
+    reference: &PeaksField,
+    rebuilt: &ReconstructedSurface,
+    grid: &GridSpec,
+    par: Parallelism,
+) -> DeltaTotals {
+    DeltaTotals {
+        delta: delta::volume_difference_with(reference, rebuilt, grid, par),
+        rms: delta::rms_difference_with(reference, rebuilt, grid, par),
+    }
+}
+
 /// Times the full δ+RMS evaluation — the quantity the evaluator
-/// actually computes — on both kernels across grid resolutions. The
-/// walk pays one point-location walk per grid cell twice (δ sweep and
-/// RMS sweep); the raster kernel fuses both into one scanline pass.
+/// actually computes — on the raster kernel and on the walk pair
+/// across grid resolutions. The raster kernel fuses both sweeps into
+/// one scanline pass.
 fn bench_kernels() -> Vec<KernelEntry> {
     [101usize, 201, 401]
         .iter()
@@ -481,22 +456,21 @@ fn bench_kernels() -> Vec<KernelEntry> {
             let reps = if resolution >= 401 { 5 } else { REPS };
             let (reference, grid, rebuilt) = workload(resolution);
             let serial = Parallelism::serial();
-            let walk = surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Walk);
-            let raster =
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Raster);
+            let walk = walk_delta_rms(&reference, &rebuilt, &grid, serial);
+            let raster = delta_rms_raster(&reference, &rebuilt, &grid, serial);
             let rel_diff = (raster.delta - walk.delta).abs() / walk.delta.abs().max(1.0);
             assert!(rel_diff <= 1e-9, "kernels diverged at {resolution}");
             for _ in 0..WARMUP {
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Raster);
+                delta_rms_raster(&reference, &rebuilt, &grid, serial);
             }
             let raster_median_ns = median_ns(reps, || {
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Raster);
+                delta_rms_raster(&reference, &rebuilt, &grid, serial);
             });
             for _ in 0..WARMUP.min(1) {
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Walk);
+                walk_delta_rms(&reference, &rebuilt, &grid, serial);
             }
             let walk_median_ns = median_ns(reps, || {
-                surface_delta_rms_with(&reference, &rebuilt, &grid, serial, Kernel::Walk);
+                walk_delta_rms(&reference, &rebuilt, &grid, serial);
             });
             KernelEntry {
                 resolution,
@@ -576,73 +550,5 @@ fn bench_pool() -> PoolEntry {
         spawn_median_ns,
         pooled_median_ns,
         speedup: spawn_median_ns as f64 / pooled_median_ns as f64,
-    }
-}
-
-/// Times a sequence of single-node moves through the tile-cached
-/// evaluator vs full recompute, cross-checking every δ and collecting
-/// the tile counters that show how much work the cache skipped.
-fn bench_incremental(reference: &PeaksField, grid: &GridSpec, region: Rect) -> IncrementalEntry {
-    const EDITS: usize = 20;
-    let mut rng = StdRng::seed_from_u64(7);
-    let base = baselines::random_deployment(region, 100, &mut rng);
-
-    // Each step nudges one node (round-robin) by a fixed offset — the
-    // CMA regime the cache is built for.
-    let mut deployments = vec![base.clone()];
-    let mut current = base;
-    for i in 0..EDITS {
-        let n = current.len();
-        let node = i % n;
-        current[node].x = (current[node].x + 1.7).min(region.max().x - 0.5);
-        current[node].y = (current[node].y + 0.9).min(region.max().y - 0.5);
-        deployments.push(current.clone());
-    }
-
-    let serial = EvalOptions::new().parallelism(Parallelism::serial());
-    let mut uncached = DeltaEvaluator::new(reference, grid, 10.0).options(serial);
-    let mut cached = DeltaEvaluator::new(reference, grid, 10.0).options(serial.cached(true));
-
-    // Prime both outside the timers: the cache pays full price on its
-    // first refresh, and the comparison is about steady-state edits.
-    let mut reference_deltas = vec![uncached.evaluate(&deployments[0]).expect("prime").delta];
-    cached.evaluate(&deployments[0]).expect("prime");
-
-    let start = Instant::now();
-    for d in &deployments[1..] {
-        reference_deltas.push(uncached.evaluate(d).expect("uncached eval").delta);
-    }
-    let uncached_total_ns = start.elapsed().as_nanos() as u64;
-
-    cps_obs::reset();
-    cps_obs::enable();
-    let start = Instant::now();
-    let mut max_rel_error: f64 = 0.0;
-    for (d, expected) in deployments[1..].iter().zip(&reference_deltas[1..]) {
-        let got = cached.evaluate(d).expect("cached eval").delta;
-        let rel = (got - expected).abs() / expected.abs().max(1.0);
-        assert!(rel <= 1e-9, "cached delta diverged: {got} vs {expected}");
-        max_rel_error = max_rel_error.max(rel);
-    }
-    let cached_total_ns = start.elapsed().as_nanos() as u64;
-    let metrics = cps_obs::snapshot();
-    cps_obs::disable();
-
-    let hits = metrics.counter(cps_obs::Counter::TileCacheHits);
-    let misses = metrics.counter(cps_obs::Counter::TileCacheMisses);
-    assert!(
-        hits > misses,
-        "the cache must reuse most tiles on single-node moves ({hits} hits, {misses} misses)"
-    );
-    IncrementalEntry {
-        edits: EDITS,
-        uncached_total_ns,
-        cached_total_ns,
-        speedup: uncached_total_ns as f64 / cached_total_ns as f64,
-        max_rel_error,
-        tile_cache_hits: hits,
-        tile_cache_misses: misses,
-        tile_invalidations: metrics.counter(cps_obs::Counter::TileInvalidations),
-        tiles_total: hits + misses,
     }
 }

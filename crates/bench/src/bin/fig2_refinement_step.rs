@@ -7,7 +7,7 @@
 //! and after, with the local-error field that drove the choice.
 
 use cps_core::osd::LocalErrorGrid;
-use cps_field::{Field, GaussianBlob};
+use cps_field::{Field, GaussianBlob, Parallelism};
 use cps_geometry::{GridSpec, Point2, Rect, Triangulation};
 
 fn print_triangles(dt: &Triangulation) {
@@ -45,7 +45,7 @@ fn main() {
     println!("before (Fig. 2(b) — the two initial triangles):");
     print_triangles(&dt);
 
-    let errors = LocalErrorGrid::new(grid, &field, &dt, &samples);
+    let errors = LocalErrorGrid::new(grid, &field, &dt, &samples, Parallelism::serial());
     let (pick, err) = errors.argmax(&[]).expect("grid has candidates");
     println!(
         "\nmax local error {err:.2} at ({:.0}, {:.0}) — the paper's node D",
@@ -67,7 +67,7 @@ fn main() {
     );
 
     // And the error under D collapsed.
-    let mut after = LocalErrorGrid::new(grid, &field, &dt, &samples);
+    let mut after = LocalErrorGrid::new(grid, &field, &dt, &samples, Parallelism::serial());
     after.mark_used(pick);
     let (next, next_err) = after.argmax(&[]).expect("candidates remain");
     println!(

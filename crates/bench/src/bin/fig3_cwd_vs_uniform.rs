@@ -54,7 +54,7 @@ fn main() {
             metrics.max_balance_residual
         );
     }
-    let mut evaluator = DeltaEvaluator::new(&field, &grid, cfg.comm_radius());
+    let evaluator = DeltaEvaluator::new(&field, &grid, cfg.comm_radius());
     let u = evaluator.evaluate(&uniform).unwrap();
     let c = evaluator.evaluate(&cwd).unwrap();
     let cu = curvature(&uniform).iter().map(|g| g.abs()).sum::<f64>();

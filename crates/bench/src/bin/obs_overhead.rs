@@ -15,8 +15,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use cps_core::osd::baselines;
-use cps_field::delta::surface_delta_rms_with;
-use cps_field::{delta, Field, Kernel, Parallelism, PeaksField, ReconstructedSurface};
+use cps_field::raster::delta_rms_raster;
+use cps_field::{delta, Field, Parallelism, PeaksField, ReconstructedSurface};
 use cps_geometry::{GridSpec, Rect};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,14 +98,10 @@ fn main() -> ExitCode {
     let pooled = Parallelism::fixed(2);
     cps_obs::reset();
     cps_obs::disable();
-    let disabled_ns = best_of(|| {
-        surface_delta_rms_with(&reference, &rebuilt, &grid, pooled, Kernel::Raster).delta
-    });
+    let disabled_ns = best_of(|| delta_rms_raster(&reference, &rebuilt, &grid, pooled).delta);
 
     cps_obs::enable();
-    let enabled_ns = best_of(|| {
-        surface_delta_rms_with(&reference, &rebuilt, &grid, pooled, Kernel::Raster).delta
-    });
+    let enabled_ns = best_of(|| delta_rms_raster(&reference, &rebuilt, &grid, pooled).delta);
     let metrics = cps_obs::snapshot();
     cps_obs::disable();
 

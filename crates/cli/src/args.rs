@@ -246,18 +246,18 @@ mod tests {
         assert_eq!(a.string_or("out", "x.csv"), "x.csv");
         assert_eq!(a.u32_or("hour", 10).unwrap(), 10);
         assert_eq!(a.u64_or("seed", 7).unwrap(), 7);
-        assert!(!a.bool_or("cache", false).unwrap());
+        assert!(!a.bool_or("resume", false).unwrap());
     }
 
     #[test]
     fn booleans_accept_switch_spellings() {
-        let a = parse(&["simulate", "--cache", "on"]).unwrap();
-        assert!(a.bool_or("cache", false).unwrap());
-        let b = parse(&["simulate", "--cache", "0"]).unwrap();
-        assert!(!b.bool_or("cache", true).unwrap());
-        let c = parse(&["simulate", "--cache", "maybe"]).unwrap();
+        let a = parse(&["simulate", "--resume", "on"]).unwrap();
+        assert!(a.bool_or("resume", false).unwrap());
+        let b = parse(&["simulate", "--resume", "0"]).unwrap();
+        assert!(!b.bool_or("resume", true).unwrap());
+        let c = parse(&["simulate", "--resume", "maybe"]).unwrap();
         assert!(matches!(
-            c.bool_or("cache", false).unwrap_err(),
+            c.bool_or("resume", false).unwrap_err(),
             ArgsError::BadValue { .. }
         ));
     }

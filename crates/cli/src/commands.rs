@@ -5,7 +5,7 @@ use std::fs;
 use std::path::Path;
 
 use cps_core::osd::FraBuilder;
-use cps_core::{analyze_deployment_with, EvalOptions, Kernel, SurvivabilityTracker};
+use cps_core::{analyze_deployment_with, EvalOptions, SurvivabilityTracker};
 use cps_field::{Field, Parallelism};
 use cps_geometry::{GridSpec, Point2, Rect};
 use cps_greenorbs::{Channel, Dataset, ForestConfig, LatentLightField};
@@ -28,11 +28,11 @@ commands:
   surface   --trace trace.json [--hour 10] [--resolution 101] [--out surface.pgm]
             extract and render the referential light surface
   plan      --trace trace.json [--k 80] [--rc 10] [--hour 10] [--out plan.csv] [--threads N]
-            [--metrics metrics.json] [--cache on] [--kernel walk|raster]
+            [--metrics metrics.json]
             plan a stationary deployment with FRA and report its quality
   simulate  [--k 100] [--minutes 45] [--seed N] [--svg swarm.svg] [--threads N]
-            [--faults spec] [--report out.json] [--metrics metrics.json] [--cache on]
-            [--kernel walk|raster] [--optimizer cma|fra|hybrid]
+            [--faults spec] [--report out.json] [--metrics metrics.json]
+            [--optimizer cma|fra|hybrid]
             [--checkpoint-dir DIR] [--checkpoint-every N]
             [--checkpoint-on-fault on] [--resume on]
             run the CMA mobile swarm on the latent light field; --faults
@@ -55,13 +55,7 @@ commands:
   help      show this text
 
 --threads selects the worker count for grid sweeps (0 = all cores, the
-default); results are identical at any setting. --cache on turns on the
-incremental tile cache for repeated delta evaluations (off by default);
-cached and uncached runs agree to within 1e-9. --kernel selects the
-delta quadrature kernel: `raster` (the default) sweeps each alive
-triangle with an incremental scanline fill, `walk` is the legacy
-per-cell point-location sweep; the two agree to within 1e-9 and a
-resumed simulation keeps the kernel recorded in its snapshot.
+default); results are identical at any setting.
 
 --optimizer selects the deployment optimizer for `simulate`: `cma` (the
 default) starts from the evenly spaced grid and runs the paper's OSTD
@@ -89,11 +83,6 @@ was never interrupted.
 the region of interest is the paper's 100x100 m window at (20,20)-(120,120).";
 
 type CmdResult = Result<(), Box<dyn Error>>;
-
-/// Parses `--kernel walk|raster` (raster when absent).
-fn kernel_flag(args: &Args) -> Result<Kernel, Box<dyn Error>> {
-    Ok(args.string_or("kernel", "raster").parse::<Kernel>()?)
-}
 
 fn region() -> Rect {
     Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).expect("static region")
@@ -167,10 +156,7 @@ pub fn plan(args: &Args) -> CmdResult {
     let out = args.string_or("out", "");
     let metrics_path = args.string_or("metrics", "");
     let par = Parallelism::from_threads(args.usize_or("threads", 0)?);
-    let eval = EvalOptions::new()
-        .parallelism(par)
-        .cached(args.bool_or("cache", false)?)
-        .kernel(kernel_flag(args)?);
+    let eval = EvalOptions::new().parallelism(par);
     args.finish()?;
 
     if !metrics_path.is_empty() {
@@ -225,10 +211,7 @@ pub fn simulate(args: &Args) -> CmdResult {
     let resume = args.bool_or("resume", false)?;
     let optimizer: OptimizerKind = args.string_or("optimizer", "cma").parse()?;
     let par = Parallelism::from_threads(args.usize_or("threads", 0)?);
-    let eval = EvalOptions::new()
-        .parallelism(par)
-        .cached(args.bool_or("cache", false)?)
-        .kernel(kernel_flag(args)?);
+    let eval = EvalOptions::new().parallelism(par);
     args.finish()?;
 
     let policy = CheckpointPolicy::every(checkpoint_every).on_fault_event(checkpoint_on_fault);
@@ -275,20 +258,14 @@ pub fn simulate(args: &Args) -> CmdResult {
     let was_resumed = resumed.is_some();
     let (mut sim, timeline, survivability, start_minute) = match resumed {
         Some((snapshot, path)) => {
-            // Cache and kernel come from the snapshot, not the flags: a
-            // resume must stay on the recorded arithmetic path. The
-            // optimizer flag is likewise moot — the checkpoint already
-            // fixes the formation it was taken from.
+            // The optimizer flag is moot on resume: the checkpoint
+            // already fixes the formation it was taken from.
             if optimizer != OptimizerKind::Cma {
                 println!("--optimizer is ignored on resume; continuing the checkpointed run");
             }
-            let opts = EvalOptions::new()
-                .parallelism(par)
-                .cached(snapshot.eval_cached)
-                .kernel(snapshot.eval_kernel);
             let timeline = snapshot
-                .timeline(opts)
-                .unwrap_or_else(|| DeltaTimeline::with_options(opts));
+                .timeline(eval)
+                .unwrap_or_else(|| DeltaTimeline::with_options(eval));
             let survivability = snapshot
                 .survivability_tracker()
                 .unwrap_or_else(|| SurvivabilityTracker::new(snapshot.node_count()));
@@ -625,12 +602,6 @@ mod tests {
         for cmd in ["generate", "surface", "plan", "simulate", "sweep", "report"] {
             assert!(USAGE.contains(cmd), "usage must document {cmd}");
         }
-    }
-
-    #[test]
-    fn usage_documents_the_kernel_flag() {
-        assert!(USAGE.contains("--kernel"));
-        assert!(USAGE.contains("walk|raster"));
     }
 
     #[test]

@@ -135,3 +135,30 @@ fn helpful_failures() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: cps"));
 }
+
+#[test]
+fn removed_quadrature_flags_are_unknown() {
+    // δ has one integration path, so the flags that used to pick the
+    // quadrature kernel and the tile cache are rejected like any typo.
+    // Flags are checked before any input is read.
+    let trace = scratch("removed_flags").join("never_read.json");
+    let trace = trace.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["simulate"], ("kernel", "walk")),
+        (vec!["plan", "--trace", trace], ("cache", "on")),
+    ] {
+        let (name, value) = flag;
+        let flag = format!("--{name}");
+        let out = cps()
+            .args(&args)
+            .args([flag.as_str(), value])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{args:?} accepted {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flags: {flag}")),
+            "{args:?} {flag}: {stderr}"
+        );
+    }
+}

@@ -3,12 +3,11 @@
 //!
 //! The single entry point is [`DeltaEvaluator`]: a builder holding the
 //! reference field, grid, and communication radius, with options for
-//! the thread policy, survivor-mask graceful degradation, and the
-//! incremental tile cache ([`cps_field::DeltaCache`]).
+//! the thread policy and survivor-mask graceful degradation. δ is
+//! integrated by the raster kernel ([`cps_field::raster`]).
 
-use cps_field::{
-    delta, DeltaCache, Field, FieldError, Kernel, Parallelism, PlaneField, ReconstructedSurface,
-};
+use cps_field::raster::delta_rms_raster;
+use cps_field::{delta, Field, FieldError, Parallelism, PlaneField, ReconstructedSurface};
 use cps_geometry::{GridSpec, Point2};
 use cps_network::UnitDiskGraph;
 
@@ -36,22 +35,10 @@ pub struct EvalOptions {
     /// Thread policy for grid sweeps. Results are bit-identical at any
     /// thread count; this only changes wall-clock time.
     pub parallelism: Parallelism,
-    /// Whether δ quadratures go through the incremental tile cache
-    /// ([`cps_field::DeltaCache`]) instead of re-walking the full grid.
-    /// Off by default; pays off when the same evaluator sees a sequence
-    /// of slowly changing deployments against a static reference.
-    pub cached: bool,
-    /// Which quadrature kernel grid sweeps run:
-    /// [`Kernel::Raster`] (default) planes each alive triangle once and
-    /// DDA-sweeps its row spans; [`Kernel::Walk`] locates the
-    /// containing triangle per grid cell (the original path). Both
-    /// agree within 1e-9 (relative) and each is bit-identical across
-    /// thread counts.
-    pub kernel: Kernel,
 }
 
 impl EvalOptions {
-    /// The defaults: [`Parallelism::auto`], cache off, raster kernel.
+    /// The defaults: [`Parallelism::auto`].
     pub fn new() -> Self {
         EvalOptions::default()
     }
@@ -61,26 +48,12 @@ impl EvalOptions {
         self.parallelism = par;
         self
     }
-
-    /// Enables or disables the incremental tile cache.
-    pub fn cached(mut self, cached: bool) -> Self {
-        self.cached = cached;
-        self
-    }
-
-    /// Selects the quadrature kernel.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             parallelism: Parallelism::auto(),
-            cached: false,
-            kernel: Kernel::Raster,
         }
     }
 }
@@ -99,12 +72,9 @@ impl Default for EvalOptions {
 /// | `evaluate_deployment_with(.., par)` | `.parallelism(par).evaluate(ps)` |
 /// | `evaluate_survivors(..)` | `.survivors(true)` before `.evaluate(ps)` |
 ///
-/// The evaluator is stateful only when [`cached`](DeltaEvaluator::cached)
-/// is on: the tile cache persists across [`evaluate`](DeltaEvaluator::evaluate)
-/// calls, so a sequence of slowly changing deployments re-integrates
-/// only the tiles whose reconstruction triangles changed. Cached and
-/// uncached results agree within 1e-9 (relative); the uncached path is
-/// bit-identical to the legacy functions at any thread count.
+/// The evaluator holds no state between
+/// [`evaluate`](DeltaEvaluator::evaluate) calls, and every result is
+/// bit-identical at any thread count.
 ///
 /// # Example
 ///
@@ -129,13 +99,12 @@ pub struct DeltaEvaluator<'f, F> {
     opts: EvalOptions,
     survivors: bool,
     mask: Option<Vec<bool>>,
-    cache: Option<DeltaCache>,
 }
 
 impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
     /// Creates an evaluator for `reference` over `grid` with the given
     /// communication radius ([`EvalOptions::default`] options: auto
-    /// parallelism, cache off, hard errors below three distinct nodes).
+    /// parallelism, hard errors below three distinct nodes).
     pub fn new(reference: &'f F, grid: &GridSpec, comm_radius: f64) -> Self {
         DeltaEvaluator {
             reference,
@@ -144,7 +113,6 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
             opts: EvalOptions::default(),
             survivors: false,
             mask: None,
-            cache: None,
         }
     }
 
@@ -158,18 +126,6 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
     /// Sets the thread policy for the δ and RMS sweeps.
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.opts.parallelism = par;
-        self
-    }
-
-    /// Turns the incremental tile cache on or off.
-    pub fn cached(mut self, cached: bool) -> Self {
-        self.opts.cached = cached;
-        self
-    }
-
-    /// Selects the quadrature kernel (raster by default).
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.opts.kernel = kernel;
         self
     }
 
@@ -194,32 +150,12 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
         self
     }
 
-    /// Adopts a previously detached tile cache (see
-    /// [`take_cache`](DeltaEvaluator::take_cache)); implies
-    /// [`cached(true)`](DeltaEvaluator::cached). A cache built over a
-    /// different grid is discarded and rebuilt on first use; a cache
-    /// whose reference probes no longer match is re-primed.
-    pub fn with_cache(mut self, cache: DeltaCache) -> Self {
-        self.cache = Some(cache);
-        self.opts.cached = true;
-        self
-    }
-
-    /// Detaches the tile cache so it can outlive this evaluator (e.g.
-    /// across the short-lived frozen-field evaluators a δ timeline
-    /// builds every recording).
-    pub fn take_cache(&mut self) -> Option<DeltaCache> {
-        self.cache.take()
-    }
-
     /// The active options.
     pub fn eval_options(&self) -> EvalOptions {
         self.opts
     }
 
-    /// Evaluates one deployment. With the cache on, successive calls
-    /// re-integrate only the tiles invalidated by the dirty-triangle
-    /// diff against the previous call's reconstruction.
+    /// Evaluates one deployment.
     ///
     /// # Errors
     ///
@@ -229,7 +165,7 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
     ///   [`survivors`](DeltaEvaluator::survivors) absorbs it), a
     ///   position outside the grid's region, or non-finite values.
     /// * [`CoreError::Network`] — invalid communication radius.
-    pub fn evaluate(&mut self, positions: &[Point2]) -> Result<DeploymentEvaluation, CoreError> {
+    pub fn evaluate(&self, positions: &[Point2]) -> Result<DeploymentEvaluation, CoreError> {
         let masked;
         let positions = match &self.mask {
             Some(mask) => {
@@ -253,28 +189,18 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
         match ReconstructedSurface::from_samples(self.grid.rect(), positions, &samples) {
             Ok(surface) => {
                 let graph = UnitDiskGraph::new(positions.to_vec(), self.comm_radius)?;
-                let (delta, rms) = if self.opts.cached {
-                    self.cached_quadrature(&surface)
-                } else {
-                    let totals = delta::surface_delta_rms_with(
-                        self.reference,
-                        &surface,
-                        &self.grid,
-                        par,
-                        self.opts.kernel,
-                    );
-                    (totals.delta, totals.rms)
-                };
+                let totals = delta_rms_raster(self.reference, &surface, &self.grid, par);
                 Ok(DeploymentEvaluation {
-                    delta,
-                    rms,
+                    delta: totals.delta,
+                    rms: totals.rms,
                     connected: graph.is_connected(),
                     node_count: positions.len(),
                 })
             }
             Err(FieldError::TooFewSamples { .. }) if self.survivors => {
-                // The one and only constant-surface fallback: measured
-                // uncached (a plane has no triangles to diff).
+                // The one and only constant-surface fallback: a plane
+                // has no triangles to rasterize, so the walk pair
+                // integrates it.
                 cps_obs::count(cps_obs::Counter::SurvivorFallbacks);
                 let graph = UnitDiskGraph::new(positions.to_vec(), self.comm_radius)?;
                 let surface = constant_fallback(&samples);
@@ -287,23 +213,6 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
             }
             Err(e) => Err(e.into()),
         }
-    }
-
-    fn cached_quadrature(&mut self, surface: &ReconstructedSurface) -> (f64, f64) {
-        let par = self.opts.parallelism;
-        let mut cache = match self.cache.take() {
-            Some(mut c) if c.compatible(&self.grid) => {
-                if !c.reference_matches(self.reference) {
-                    cps_obs::count(cps_obs::Counter::CacheReprimes);
-                    c.reprime(self.reference, par);
-                }
-                c
-            }
-            _ => DeltaCache::new(self.reference, &self.grid, par),
-        };
-        let totals = cache.refresh_with_kernel(surface, par, self.opts.kernel);
-        self.cache = Some(cache);
-        (totals.delta, totals.rms)
     }
 }
 
@@ -361,7 +270,7 @@ mod tests {
             }
             v
         };
-        let mut ev = DeltaEvaluator::new(&f, &grid, 200.0);
+        let ev = DeltaEvaluator::new(&f, &grid, 200.0);
         let coarse = ev.evaluate(&mk(3)).unwrap();
         let fine = ev.evaluate(&mk(7)).unwrap();
         assert!(fine.delta < coarse.delta);
@@ -393,51 +302,6 @@ mod tests {
             assert_eq!(serial.connected, p.connected);
             assert_eq!(serial.node_count, p.node_count);
         }
-    }
-
-    #[test]
-    fn cached_evaluation_matches_uncached_across_a_sequence() {
-        let (region, grid) = setting();
-        let f = PeaksField::new(region, 8.0);
-        let mut cached = DeltaEvaluator::new(&f, &grid, 200.0).cached(true);
-        let mut uncached = DeltaEvaluator::new(&f, &grid, 200.0);
-        let mut nodes: Vec<Point2> = region.corners().to_vec();
-        for p in [
-            Point2::new(37.0, 61.0),
-            Point2::new(70.0, 20.0),
-            Point2::new(12.0, 88.0),
-            Point2::new(55.0, 44.0),
-        ] {
-            nodes.push(p);
-            let a = cached.evaluate(&nodes).unwrap();
-            let b = uncached.evaluate(&nodes).unwrap();
-            assert!(
-                (a.delta - b.delta).abs() <= 1e-9 * b.delta.abs().max(1.0),
-                "delta {} vs {}",
-                a.delta,
-                b.delta
-            );
-            assert!((a.rms - b.rms).abs() <= 1e-9 * b.rms.abs().max(1.0));
-            assert_eq!(a.connected, b.connected);
-            assert_eq!(a.node_count, b.node_count);
-        }
-    }
-
-    #[test]
-    fn cache_detaches_and_reattaches() {
-        let (region, grid) = setting();
-        let f = PeaksField::new(region, 8.0);
-        let nodes: Vec<Point2> = region
-            .corners()
-            .into_iter()
-            .chain([Point2::new(40.0, 30.0)])
-            .collect();
-        let mut ev = DeltaEvaluator::new(&f, &grid, 200.0).cached(true);
-        let first = ev.evaluate(&nodes).unwrap();
-        let cache = ev.take_cache().expect("cache primed by evaluate");
-        let mut ev2 = DeltaEvaluator::new(&f, &grid, 200.0).with_cache(cache);
-        let second = ev2.evaluate(&nodes).unwrap();
-        assert_eq!(first.delta.to_bits(), second.delta.to_bits());
     }
 
     #[test]

@@ -60,7 +60,6 @@ mod report;
 
 pub use config::CpsConfig;
 pub use coverage::{coverage_histogram, sensing_coverage};
-pub use cps_field::Kernel;
 pub use error::CoreError;
 pub use evaluate::{DeltaEvaluator, DeploymentEvaluation, EvalOptions};
 pub use problem::{OsdProblem, OstdProblem};

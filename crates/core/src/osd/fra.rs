@@ -22,12 +22,11 @@
 //! samples makes the greedy systematically blind to border error; see
 //! DESIGN.md for the measurement that motivated the change.
 
-use cps_field::{delta, DeltaCache, Field, Parallelism, ReconstructedSurface};
+use cps_field::{Field, Parallelism};
 use cps_geometry::{GridSpec, Point2, Triangulation};
 use cps_network::{RelayPlan, UnitDiskGraph};
 
 use super::local_error::LocalErrorGrid;
-use crate::evaluate::constant_fallback;
 use crate::{CoreError, EvalOptions};
 
 /// Pushes every relay position that does not collide with an
@@ -60,13 +59,6 @@ pub struct FraResult {
     pub refined: usize,
     /// How many positions were spent on connectivity relays.
     pub relays: usize,
-    /// δ of the evolving reconstruction after each refinement pick
-    /// (one entry per refined node; relays do not change the surface).
-    /// `None` unless [`FraBuilder::track_delta`] was requested. Measured
-    /// through the incremental tile cache when the builder's
-    /// [`EvalOptions::cached`] is on — identical to the full quadrature
-    /// within 1e-9.
-    pub delta_trajectory: Option<Vec<f64>>,
 }
 
 /// Builder for a FRA run.
@@ -93,7 +85,6 @@ pub struct FraBuilder {
     comm_radius: f64,
     grid: Option<GridSpec>,
     opts: EvalOptions,
-    track_delta: bool,
 }
 
 impl FraBuilder {
@@ -105,7 +96,6 @@ impl FraBuilder {
             comm_radius,
             grid: None,
             opts: EvalOptions::default(),
-            track_delta: false,
         }
     }
 
@@ -118,8 +108,7 @@ impl FraBuilder {
 
     /// Sets the evaluation options shared with [`crate::DeltaEvaluator`]
     /// and the CMA simulation builder: the thread policy for the
-    /// local-error sweeps, and whether δ tracking goes through the
-    /// incremental tile cache.
+    /// local-error sweeps.
     pub fn evaluator(mut self, opts: EvalOptions) -> Self {
         self.opts = opts;
         self
@@ -132,16 +121,6 @@ impl FraBuilder {
     /// parallelism changed.
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.opts.parallelism = par;
-        self
-    }
-
-    /// Records δ of the evolving reconstruction after every refinement
-    /// pick into [`FraResult::delta_trajectory`]. With
-    /// [`EvalOptions::cached`] on, each step re-integrates only the
-    /// tiles dirtied by the insertion's Delaunay cavity instead of the
-    /// whole grid.
-    pub fn track_delta(mut self, track: bool) -> Self {
-        self.track_delta = track;
         self
     }
 
@@ -177,17 +156,14 @@ impl FraBuilder {
         let mut zs: Vec<f64> = Vec::new();
 
         let par = self.opts.parallelism;
-        let kernel = self.opts.kernel;
         // Lines 2–3: the full local-error array, swept on the parallel
         // evaluation engine (bit-identical at any thread count).
-        let mut errors = LocalErrorGrid::new_kernel_with(grid, reference, &dt, &zs, par, kernel);
+        let mut errors = LocalErrorGrid::new(grid, reference, &dt, &zs, par);
 
         let mut chosen: Vec<Point2> = Vec::with_capacity(self.k);
         let mut refined = 0usize;
         let mut relays = 0usize;
         let obs_threads = par.threads();
-        let mut trajectory: Option<Vec<f64>> = self.track_delta.then(Vec::new);
-        let mut cache: Option<DeltaCache> = None;
         // The relay plan of the last accepted candidate, which is the
         // next foresight step's plan.
         let mut accepted_plan: Option<RelayPlan> = None;
@@ -294,27 +270,16 @@ impl FraBuilder {
                     zs.push(reference.value(p));
                     if hull_grows {
                         cps_obs::count(cps_obs::Counter::FullGridRecomputes);
-                        errors.recompute_region_kernel(
-                            rect.min(),
-                            rect.max(),
-                            &dt,
-                            &zs,
-                            par,
-                            kernel,
-                        );
+                        errors.recompute_region(rect.min(), rect.max(), &dt, &zs, par);
                     } else if let Some((lo, hi)) = dt.last_insert_bbox() {
                         cps_obs::count(cps_obs::Counter::CavityRecomputes);
-                        errors.recompute_region_kernel(
+                        errors.recompute_region(
                             Point2::new(lo.x - margin, lo.y - margin),
                             Point2::new(hi.x + margin, hi.y + margin),
                             &dt,
                             &zs,
                             par,
-                            kernel,
                         );
-                    }
-                    if let Some(traj) = trajectory.as_mut() {
-                        traj.push(self.refinement_delta(reference, &grid, &dt, &zs, &mut cache)?);
                     }
                 }
                 None => {
@@ -350,7 +315,6 @@ impl FraBuilder {
             positions: chosen,
             refined,
             relays,
-            delta_trajectory: trajectory,
         })
     }
 
@@ -362,40 +326,6 @@ impl FraBuilder {
         }
         let graph = UnitDiskGraph::new(positions.to_vec(), self.comm_radius)?;
         Ok(RelayPlan::for_graph(&graph))
-    }
-
-    /// δ of the refinement surface against the reference: the constant
-    /// fallback while fewer than three picks exist, the Delaunay
-    /// reconstruction after. With [`EvalOptions::cached`] on, the tile
-    /// cache re-integrates only the tiles dirtied since the last pick.
-    fn refinement_delta<F: Field + Sync>(
-        &self,
-        reference: &F,
-        grid: &GridSpec,
-        dt: &Triangulation,
-        zs: &[f64],
-        cache: &mut Option<DeltaCache>,
-    ) -> Result<f64, CoreError> {
-        let par = self.opts.parallelism;
-        if dt.vertex_count() < 3 {
-            let plane = constant_fallback(zs);
-            return Ok(delta::volume_difference_with(reference, &plane, grid, par));
-        }
-        let surface = ReconstructedSurface::from_triangulation(dt.clone(), zs.to_vec())?;
-        if self.opts.cached {
-            let c = cache.get_or_insert_with(|| DeltaCache::new(reference, grid, par));
-            Ok(c.refresh_with_kernel(&surface, par, self.opts.kernel).delta)
-        } else {
-            Ok(match self.opts.kernel {
-                // The walk path wants δ alone — skip the rms sweep.
-                cps_field::Kernel::Walk => {
-                    delta::volume_difference_with(reference, &surface, grid, par)
-                }
-                cps_field::Kernel::Raster => {
-                    cps_field::raster::delta_rms_raster(reference, &surface, grid, par).delta
-                }
-            })
-        }
     }
 }
 
@@ -578,7 +508,7 @@ mod tests {
         let f = peaks();
         let g = grid();
         let fra = FraBuilder::new(40, 30.0).grid(g).run(&f).unwrap();
-        let mut ev = DeltaEvaluator::new(&f, &g, 30.0);
+        let ev = DeltaEvaluator::new(&f, &g, 30.0);
         let fra_eval = ev.evaluate(&fra.positions).unwrap();
         assert!(fra_eval.connected);
         let mut rng = StdRng::seed_from_u64(11);
@@ -615,38 +545,5 @@ mod tests {
             fra_eval.delta,
             corners_eval.delta
         );
-    }
-
-    #[test]
-    fn tracked_trajectory_matches_cached_tracking_and_trends_down() {
-        let f = peaks();
-        let full = FraBuilder::new(25, 30.0)
-            .grid(grid())
-            .track_delta(true)
-            .run(&f)
-            .unwrap();
-        let cached = FraBuilder::new(25, 30.0)
-            .grid(grid())
-            .evaluator(EvalOptions::new().cached(true))
-            .track_delta(true)
-            .run(&f)
-            .unwrap();
-        assert_eq!(full.positions, cached.positions);
-        let a = full.delta_trajectory.as_deref().unwrap();
-        let b = cached.delta_trajectory.as_deref().unwrap();
-        assert_eq!(a.len(), full.refined);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert!(
-                (x - y).abs() <= 1e-9 * y.abs().max(1.0),
-                "full {x} vs cached {y}"
-            );
-        }
-        // Greedy refinement is not strictly monotone, but the end must
-        // beat the start decisively.
-        assert!(a.last().unwrap() < &(0.5 * a[0]), "trajectory {a:?}");
-        // Untracked runs carry no trajectory.
-        let untracked = FraBuilder::new(10, 30.0).grid(grid()).run(&f).unwrap();
-        assert_eq!(untracked.delta_trajectory, None);
     }
 }

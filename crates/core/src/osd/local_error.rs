@@ -8,10 +8,10 @@
 //!
 //! Recomputation is a dense grid sweep — the FRA hot path — so it runs
 //! on the row-sharded evaluation engine of [`cps_field::par`]: one
-//! point-location cache per refresh, one locate cursor per row, rows
-//! written back in order. [`LocalErrorGrid::recompute_region`] and
-//! [`LocalErrorGrid::recompute_region_with`] produce bit-identical
-//! error arrays at any thread count.
+//! raster plan and point-location cache per refresh, one locate cursor
+//! per row, rows written back in order.
+//! [`LocalErrorGrid::recompute_region`] produces bit-identical error
+//! arrays at any thread count.
 //!
 //! Three caches keep a refinement run from recomputing values that
 //! cannot change, each reproducing the uncached result bit for bit:
@@ -27,7 +27,7 @@
 
 use cps_field::par::{map_rows, Parallelism};
 use cps_field::raster::NO_OWNER;
-use cps_field::{Field, Kernel, RasterPlan};
+use cps_field::{Field, RasterPlan};
 use cps_geometry::{GridSpec, LocateCache, LocateCursor, Point2, Triangulation, VertexId};
 
 /// The error grid `Err[√A][√A]` of FRA, with used-position tracking.
@@ -46,44 +46,18 @@ pub struct LocalErrorGrid {
 
 impl LocalErrorGrid {
     /// Builds the grid and computes every local error against the
-    /// current triangulated surface.
+    /// current triangulated surface, sweeping rows on the parallel
+    /// evaluation engine (bit-identical at any thread count).
     ///
     /// `samples[i]` is the surface value at the triangulation's
     /// `VertexId(i)`. The reference `field` is sampled once here; later
     /// refreshes reuse those samples.
-    pub fn new<F: Field>(grid: GridSpec, field: &F, dt: &Triangulation, samples: &[f64]) -> Self {
-        Self::new_kernel_with(
-            grid,
-            field,
-            dt,
-            samples,
-            Parallelism::serial(),
-            Kernel::Walk,
-        )
-    }
-
-    /// Like [`LocalErrorGrid::new`], but sweeps the grid on the parallel
-    /// evaluation engine. The resulting error array is bit-identical to
-    /// the serial constructor's at any thread count.
-    pub fn new_with<F: Field>(
+    pub fn new<F: Field>(
         grid: GridSpec,
         field: &F,
         dt: &Triangulation,
         samples: &[f64],
         par: Parallelism,
-    ) -> Self {
-        Self::new_kernel_with(grid, field, dt, samples, par, Kernel::Walk)
-    }
-
-    /// Like [`LocalErrorGrid::new_with`] with an explicit quadrature
-    /// [`Kernel`].
-    pub fn new_kernel_with<F: Field>(
-        grid: GridSpec,
-        field: &F,
-        dt: &Triangulation,
-        samples: &[f64],
-        par: Parallelism,
-        kernel: Kernel,
     ) -> Self {
         let mut reference = Vec::with_capacity(grid.len());
         reference.extend(grid.iter().map(|(_, _, p)| field.value(p)));
@@ -96,14 +70,7 @@ impl LocalErrorGrid {
             row_best: vec![RowBest::default(); grid.ny()],
             nearest: NearestMap::new(grid.len()),
         };
-        this.recompute_region_kernel(
-            grid.rect().min(),
-            grid.rect().max(),
-            dt,
-            samples,
-            par,
-            kernel,
-        );
+        this.recompute_region(grid.rect().min(), grid.rect().max(), dt, samples, par);
         this
     }
 
@@ -198,55 +165,30 @@ impl LocalErrorGrid {
     /// Recomputes local errors for every grid point inside the
     /// axis-aligned box `[lo, hi]` (clipped to the grid), against the
     /// surface `dt` carrying `samples`.
+    ///
+    /// Rows are sharded across `par.threads()` workers and written back
+    /// in row order, so the refreshed errors are bit-identical at any
+    /// thread count. Each row's cells are attributed to triangles by
+    /// the raster plan's scanline spans in *locate mode*: a cell is
+    /// claimed only when it is strictly inside a triangle beyond the
+    /// walk's orientation tolerance, in which case the walk provably
+    /// lands in the same triangle and the raster error reproduces the
+    /// walk's bit for bit. The remaining cells (hull boundary and
+    /// exterior) run the per-cell walk behind a private
+    /// [`LocateCursor`], and hull-exterior cells take their nearest
+    /// vertex's sample.
     pub fn recompute_region(
         &mut self,
         lo: Point2,
         hi: Point2,
         dt: &Triangulation,
         samples: &[f64],
-    ) {
-        self.recompute_region_with(lo, hi, dt, samples, Parallelism::serial());
-    }
-
-    /// Row-parallel variant of [`LocalErrorGrid::recompute_region`]:
-    /// rows are sharded across `par.threads()` workers, each walking its
-    /// row left-to-right behind a private [`LocateCursor`], and written
-    /// back in row order — the refreshed errors are bit-identical to the
-    /// serial sweep at any thread count.
-    pub fn recompute_region_with(
-        &mut self,
-        lo: Point2,
-        hi: Point2,
-        dt: &Triangulation,
-        samples: &[f64],
         par: Parallelism,
-    ) {
-        self.recompute_region_kernel(lo, hi, dt, samples, par, Kernel::Walk);
-    }
-
-    /// [`LocalErrorGrid::recompute_region_with`] with an explicit
-    /// quadrature [`Kernel`].
-    ///
-    /// Under [`Kernel::Raster`] each row's cells are attributed to
-    /// triangles by scanline spans in *locate mode*: a cell is claimed
-    /// only when it is strictly inside a triangle beyond the walk's
-    /// orientation tolerance, in which case the walk provably lands in
-    /// the same triangle and the raster error reproduces the walk's
-    /// bit-for-bit. The remaining cells (hull boundary and exterior)
-    /// run the ordinary per-cell walk/extrapolation fallback.
-    pub fn recompute_region_kernel(
-        &mut self,
-        lo: Point2,
-        hi: Point2,
-        dt: &Triangulation,
-        samples: &[f64],
-        par: Parallelism,
-        kernel: Kernel,
     ) {
         let (i0, i1, j0, j1) = self.clip_box(lo, hi);
         self.nearest.sync(dt);
         let g = self.grid;
-        let plan = (kernel == Kernel::Raster).then(|| RasterPlan::build(dt, samples, &g));
+        let plan = RasterPlan::build(dt, samples, &g);
         let cache = dt.locate_cache();
         let sweep = RowSweep {
             grid: &g,
@@ -254,7 +196,7 @@ impl LocalErrorGrid {
             dt,
             cache: &cache,
             samples,
-            plan: plan.as_ref(),
+            plan: &plan,
             has_triangle: dt.triangle_count() > 0,
         };
         let rows = map_rows(j1 - j0 + 1, par, |r| sweep.row(i0, i1, j0 + r));
@@ -453,8 +395,7 @@ struct RowSweep<'a> {
     dt: &'a Triangulation,
     cache: &'a LocateCache,
     samples: &'a [f64],
-    /// Present under [`Kernel::Raster`].
-    plan: Option<&'a RasterPlan>,
+    plan: &'a RasterPlan,
     /// Whether `dt` has a real triangle. Without one every cell is
     /// outside the hull, which is what point location would find.
     has_triangle: bool,
@@ -464,19 +405,15 @@ impl RowSweep<'_> {
     /// Row `j` over `i0..=i1`, walked left-to-right behind a fresh
     /// cursor, with hull-exterior cells marked [`EXTERIOR`]. Every
     /// thread count delegates here, which is what makes the sweeps
-    /// bit-identical. Under the raster kernel, span-claimed
-    /// cells interpolate from their owning plan triangle (bit-identical
-    /// to the walk by the locate-mode claim rule); the other cells fall
-    /// through to the walk.
+    /// bit-identical. Span-claimed cells interpolate from their owning
+    /// plan triangle (bit-identical to the walk by the locate-mode
+    /// claim rule); the other cells fall through to the walk.
     fn row(&self, i0: usize, i1: usize, j: usize) -> Vec<f64> {
         if !self.has_triangle {
             return vec![EXTERIOR; i1 - i0 + 1];
         }
-        let owners = self.plan.map(|plan| {
-            let mut owners = vec![NO_OWNER; i1 - i0 + 1];
-            plan.fill_row_owners(j, i0, i1, &mut owners);
-            owners
-        });
+        let mut owners = vec![NO_OWNER; i1 - i0 + 1];
+        self.plan.fill_row_owners(j, i0, i1, &mut owners);
         let reference = &self.reference[self.grid.flat_index(i0, j)..=self.grid.flat_index(i1, j)];
         // `grid.point(i, j)`, with the spacing hoisted out of the loop.
         let (x0, dx) = (self.grid.rect().min().x, self.grid.dx());
@@ -486,10 +423,7 @@ impl RowSweep<'_> {
             .map(|i| {
                 let k = i - i0;
                 let p = Point2::new(x0 + dx * i as f64, y);
-                let owned = self
-                    .plan
-                    .zip(owners.as_ref())
-                    .and_then(|(plan, owners)| plan.interpolate_owned(owners[k], p, self.samples));
+                let owned = self.plan.interpolate_owned(owners[k], p, self.samples);
                 let approx = owned.or_else(|| {
                     self.dt
                         .interpolate_with(self.cache, &mut cursor, p, self.samples)
@@ -522,7 +456,7 @@ mod tests {
     fn plane_has_zero_error_everywhere() {
         let f = PlaneField::new(1.0, -2.0, 3.0);
         let (grid, dt, zs) = setup(&f);
-        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         assert!(errs.total_error() < 1e-6);
         // argmax still returns something (the max of zeros).
         assert!(errs.argmax(&[]).is_some());
@@ -532,7 +466,7 @@ mod tests {
     fn blob_error_peaks_at_blob_center() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
         let (grid, dt, zs) = setup(&f);
-        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let (p, e) = errs.argmax(&[]).unwrap();
         assert_eq!(p, Point2::new(5.0, 5.0));
         assert!((e - 10.0).abs() < 1.0);
@@ -542,7 +476,7 @@ mod tests {
     fn mark_used_excludes_position() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
         let (grid, dt, zs) = setup(&f);
-        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let (p1, _) = errs.argmax(&[]).unwrap();
         errs.mark_used(p1);
         assert!(errs.is_used(p1));
@@ -554,7 +488,7 @@ mod tests {
     fn rejection_list_is_honoured() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
         let (grid, dt, zs) = setup(&f);
-        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let (p1, _) = errs.argmax(&[]).unwrap();
         let rejected = vec![errs.flat_index_of(p1)];
         let (p2, _) = errs.argmax(&rejected).unwrap();
@@ -565,14 +499,14 @@ mod tests {
     fn insertion_update_reduces_local_error() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
         let (grid, mut dt, mut zs) = setup(&f);
-        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let before = errs.error_at(5, 5);
         // Insert the blob centre and update the dirtied area.
         let center = Point2::new(5.0, 5.0);
         dt.insert(center).unwrap();
         zs.push(f.value(center));
         let (lo, hi) = dt.last_insert_bbox().unwrap();
-        errs.recompute_region(lo, hi, &dt, &zs);
+        errs.recompute_region(lo, hi, &dt, &zs, Parallelism::serial());
         let after = errs.error_at(5, 5);
         assert!(after < before);
         assert!(after < 1e-9);
@@ -582,7 +516,7 @@ mod tests {
     fn try_error_at_bounds_checks() {
         let f = PlaneField::new(1.0, -2.0, 3.0);
         let (grid, dt, zs) = setup(&f);
-        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         assert_eq!(errs.try_error_at(5, 5), Some(errs.error_at(5, 5)));
         assert_eq!(errs.try_error_at(10, 10), Some(errs.error_at(10, 10)));
         assert_eq!(errs.try_error_at(11, 5), None);
@@ -594,14 +528,13 @@ mod tests {
     fn parallel_recompute_is_bit_identical_to_serial() {
         let f = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 10.0, 1.5);
         let (grid, dt, zs) = setup(&f);
-        let serial = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let serial = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         for par in [
-            Parallelism::serial(),
             Parallelism::fixed(2),
             Parallelism::fixed(3),
             Parallelism::auto(),
         ] {
-            let parallel = LocalErrorGrid::new_with(grid, &f, &dt, &zs, par);
+            let parallel = LocalErrorGrid::new(grid, &f, &dt, &zs, par);
             for j in 0..grid.ny() {
                 for i in 0..grid.nx() {
                     assert_eq!(
@@ -617,36 +550,25 @@ mod tests {
     use cps_field::{GaussianMixtureField, ReconstructedSurface};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    /// The uncached refresh this module used to run, kept as the
-    /// oracle: the field is sampled per cell, hull-exterior cells scan
-    /// every vertex, and the raster claim falls through to the walk.
+    /// The plain per-cell walk, kept as the oracle: the field is
+    /// sampled per cell, every cell is located by `interpolate_with`
+    /// behind one cursor per row, and hull-exterior cells scan every
+    /// vertex.
     fn oracle_row(
         g: &GridSpec,
         (i0, i1, j): (usize, usize, usize),
         field: &dyn Field,
         dt: &Triangulation,
         samples: &[f64],
-        plan: Option<&RasterPlan>,
     ) -> Vec<f64> {
         let cache = dt.locate_cache();
-        let mut owners = vec![NO_OWNER; i1 - i0 + 1];
-        if let Some(plan) = plan {
-            plan.fill_row_owners(j, i0, i1, &mut owners);
-        }
         let mut cursor = LocateCursor::new();
         (i0..=i1)
             .map(|i| {
                 let p = g.point(i, j);
-                let owned =
-                    plan.and_then(|plan| plan.interpolate_owned(owners[i - i0], p, samples));
-                let approx = match owned {
-                    Some(v) => v,
-                    None => dt
-                        .interpolate_with(&cache, &mut cursor, p, samples)
-                        .unwrap_or_else(|| {
-                            dt.nearest_vertex(p).map(|id| samples[id.0]).unwrap_or(0.0)
-                        }),
-                };
+                let approx = dt
+                    .interpolate_with(&cache, &mut cursor, p, samples)
+                    .unwrap_or_else(|| dt.nearest_vertex(p).map(|id| samples[id.0]).unwrap_or(0.0));
                 (field.value(p) - approx).abs()
             })
             .collect()
@@ -695,32 +617,26 @@ mod tests {
     fn cached_refreshes_match_the_uncached_oracle_bitwise() {
         // Grow random triangulations vertex by vertex — through the
         // hull-exterior phase — refreshing the full grid or a random
-        // box after each insert, under both kernels. Every error, and
-        // the argmax, must equal the oracle's bit for bit.
+        // box after each insert. Every error, and the argmax, must
+        // equal the plain walk's bit for bit.
         let rect = Rect::square(10.0).unwrap();
         for seed in 0..12u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let f = random_field(&mut rng);
             let n = rng.gen_range(13..31usize);
             let grid = GridSpec::new(rect, n, n + 3).unwrap();
-            let kernel = if seed % 2 == 0 {
-                Kernel::Raster
-            } else {
-                Kernel::Walk
-            };
             let par = Parallelism::fixed(1 + (seed % 3) as usize);
             let mut dt = Triangulation::new(rect);
             let mut zs: Vec<f64> = Vec::new();
-            let mut errs = LocalErrorGrid::new_kernel_with(grid, &f, &dt, &zs, par, kernel);
+            let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs, par);
             let mut oracle = vec![0.0; grid.len()];
             let full = |oracle: &mut Vec<f64>,
                         dt: &Triangulation,
                         zs: &[f64],
                         box_: (usize, usize, usize, usize)| {
-                let plan = (kernel == Kernel::Raster).then(|| RasterPlan::build(dt, zs, &grid));
                 let (i0, i1, j0, j1) = box_;
                 for j in j0..=j1 {
-                    let row = oracle_row(&grid, (i0, i1, j), &f, dt, zs, plan.as_ref());
+                    let row = oracle_row(&grid, (i0, i1, j), &f, dt, zs);
                     let base = grid.flat_index(i0, j);
                     oracle[base..base + row.len()].copy_from_slice(&row);
                 }
@@ -750,7 +666,7 @@ mod tests {
                         Point2::new(a.x.max(b.x), a.y.max(b.y)),
                     )
                 };
-                errs.recompute_region_kernel(lo, hi, &dt, &zs, par, kernel);
+                errs.recompute_region(lo, hi, &dt, &zs, par);
                 full(&mut oracle, &dt, &zs, errs.clip_box(lo, hi));
                 for (idx, (a, b)) in errs.errors.iter().zip(&oracle).enumerate() {
                     assert_eq!(
@@ -774,7 +690,7 @@ mod tests {
         let (grid, dt, zs) = setup(&f);
         let mut rng = StdRng::seed_from_u64(7);
         for case in 0..400 {
-            let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+            let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
             let nan_rate = [0.0, 0.05, 0.5, 1.0][case % 4];
             for e in errs.errors.iter_mut() {
                 *e = if rng.gen_range(0.0..1.0) < nan_rate {
@@ -799,7 +715,7 @@ mod tests {
             }
         }
         // Every cell used: nothing to pick.
-        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs);
+        let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         for (_, _, p) in grid.iter() {
             errs.mark_used(p);
         }
@@ -879,8 +795,8 @@ mod tests {
         let surface =
             ReconstructedSurface::from_samples(rect, &pts, &[1.0, 2.0, 3.0, 4.0, 9.0]).unwrap();
         let (_, dt, zs) = setup(&PlaneField::new(0.5, 0.25, 1.0));
-        let errs = LocalErrorGrid::new(grid, &surface, &dt, &zs);
-        let whole = oracle_row(&grid, (0, 16, 8), &surface, &dt, &zs, None);
+        let errs = LocalErrorGrid::new(grid, &surface, &dt, &zs, Parallelism::serial());
+        let whole = oracle_row(&grid, (0, 16, 8), &surface, &dt, &zs);
         for (i, e) in whole.iter().enumerate() {
             assert_eq!(errs.error_at(i, 8).to_bits(), e.to_bits());
         }

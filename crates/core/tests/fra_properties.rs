@@ -81,7 +81,7 @@ proptest! {
         let grid = GridSpec::new(region, 31, 31).unwrap();
         let k = 25;
         let fra = FraBuilder::new(k, 100.0).grid(grid).run(&field).unwrap();
-        let mut evaluator = DeltaEvaluator::new(&field, &grid, 100.0);
+        let evaluator = DeltaEvaluator::new(&field, &grid, 100.0);
         let fe = evaluator.evaluate(&fra.positions).unwrap();
         let uniform = cps_core::osd::baselines::uniform_grid_deployment(region, k);
         let ue = evaluator.evaluate(&uniform).unwrap();

@@ -30,8 +30,7 @@ use crate::par::{map_rows, Parallelism};
 use crate::Field;
 
 /// Quadrature weight for grid point `(i, j)`: trapezoidal rule. Shared
-/// with the incremental tile cache so both integrate the identical
-/// quadrature.
+/// with the raster kernel so both integrate the identical quadrature.
 #[inline]
 pub(crate) fn weight(grid: &GridSpec, i: usize, j: usize) -> f64 {
     let wx = if i == 0 || i == grid.nx() - 1 {
@@ -231,30 +230,6 @@ pub fn rms_difference_with<F: Field + Sync, G: Field + Sync>(
         ss += row;
     }
     (ss / grid.len() as f64).sqrt()
-}
-
-/// δ and RMS of `|reference − surface|` under the chosen
-/// [`Kernel`](crate::Kernel): [`Walk`](crate::Kernel::Walk) runs the
-/// classic per-cell locate-walk pair ([`volume_difference_with`] +
-/// [`rms_difference_with`], two sweeps),
-/// [`Raster`](crate::Kernel::Raster) the fused scanline kernel
-/// ([`crate::raster::delta_rms_raster`], one sweep). Both agree within
-/// quadrature tolerance (≤1e-9 relative) and each is bit-identical
-/// across thread counts.
-pub fn surface_delta_rms_with<F: Field + Sync>(
-    reference: &F,
-    surface: &crate::ReconstructedSurface,
-    grid: &GridSpec,
-    par: Parallelism,
-    kernel: crate::Kernel,
-) -> crate::DeltaTotals {
-    match kernel {
-        crate::Kernel::Walk => crate::DeltaTotals {
-            delta: volume_difference_with(reference, surface, grid, par),
-            rms: rms_difference_with(reference, surface, grid, par),
-        },
-        crate::Kernel::Raster => crate::raster::delta_rms_raster(reference, surface, grid, par),
-    }
 }
 
 #[cfg(test)]

@@ -17,15 +17,13 @@
 //!   samples by Delaunay triangulation ([`ReconstructedSurface`]);
 //! * the paper's quality metric `δ` — the volume difference between two
 //!   surfaces (Eqn. 2) — in [`delta`];
-//! * the incremental δ engine in [`incremental`] ([`DeltaCache`]): a
-//!   tile cache of partial δ integrals that re-integrates only the
-//!   tiles whose reconstruction triangles changed;
 //! * the row-sharded parallel evaluation engine in [`par`]
 //!   ([`Parallelism`]), whose grid sweeps are bit-identical to serial
 //!   at any thread count and run on a persistent worker pool;
 //! * the triangle-major scanline quadrature kernel in [`raster`]
-//!   ([`Kernel`], [`RasterPlan`]): plane each alive triangle once and
-//!   DDA-sweep its row spans instead of locating per grid cell.
+//!   ([`RasterPlan`], [`raster::delta_rms_raster`]): plane each alive
+//!   triangle once and DDA-sweep its row spans instead of locating per
+//!   grid cell. This is the one δ and local-error integration path.
 //!
 //! # Example
 //!
@@ -57,7 +55,6 @@ pub mod delta;
 mod dynamics;
 mod error;
 mod grid;
-pub mod incremental;
 mod noise;
 mod ops;
 pub mod par;
@@ -71,10 +68,9 @@ pub use analytic::{
 pub use dynamics::{DiurnalField, DriftingField, KeyframeField};
 pub use error::FieldError;
 pub use grid::GridField;
-pub use incremental::{DeltaCache, DeltaTotals};
 pub use noise::NoiseField;
 pub use ops::{ClampedField, ScaledField, SumField, TranslatedField};
 pub use par::Parallelism;
-pub use raster::{Kernel, RasterPlan};
+pub use raster::{DeltaTotals, RasterPlan};
 pub use reconstruct::ReconstructedSurface;
 pub use traits::{lattice_keeps, Field, Frozen, Static, TimeVaryingField};

@@ -13,11 +13,11 @@
 //! Two fill modes exist:
 //!
 //! * **value mode** ([`RasterPlan::fill_row_values`]) writes plane
-//!   heights directly and is used by the δ quadrature and the tile
-//!   cache. Span cells are claimed without re-verifying containment:
-//!   the reconstruction is continuous across interior edges, so a cell
-//!   attributed to either neighbor of an fp-ambiguous edge crossing
-//!   gets the same height up to one rounding step.
+//!   heights directly and is used by the δ quadrature. Span cells are
+//!   claimed without re-verifying containment: the reconstruction is
+//!   continuous across interior edges, so a cell attributed to either
+//!   neighbor of an fp-ambiguous edge crossing gets the same height up
+//!   to one rounding step.
 //! * **locate mode** ([`RasterPlan::fill_row_owners`]) records *which*
 //!   triangle owns each cell and only claims cells strictly inside by
 //!   more than the walk's `1e-12` orientation tolerance — any such
@@ -29,7 +29,6 @@ use cps_geometry::scanline::{span_cells, triangle_row_span};
 use cps_geometry::{predicates::orient2d, GridSpec, Point2, Triangle, Triangulation, VertexId};
 
 use crate::delta::weight;
-use crate::incremental::DeltaTotals;
 use crate::par::{map_rows, Parallelism};
 use crate::reconstruct::ReconstructedSurface;
 use crate::traits::Field;
@@ -42,38 +41,6 @@ pub const NO_OWNER: u32 = u32::MAX;
 /// the walk's acceptance slack means the walk cannot stop in any other
 /// triangle for that point.
 const STRICT_INSIDE: f64 = 1e-12;
-
-/// Which δ-quadrature / error-grid kernel to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Kernel {
-    /// Per-cell point location via the cursor walk (the original path).
-    Walk,
-    /// Triangle-major scanline rasterization (this module). Default.
-    #[default]
-    Raster,
-}
-
-impl Kernel {
-    /// Stable lowercase name (CLI flag value, checkpoint field).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Kernel::Walk => "walk",
-            Kernel::Raster => "raster",
-        }
-    }
-}
-
-impl std::str::FromStr for Kernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "walk" => Ok(Kernel::Walk),
-            "raster" => Ok(Kernel::Raster),
-            other => Err(format!("unknown kernel '{other}' (use walk|raster)")),
-        }
-    }
-}
 
 /// One planed triangle of the reconstruction surface.
 #[derive(Debug, Clone, Copy)]
@@ -170,25 +137,25 @@ impl RasterPlan {
         (s <= e).then_some((s, e))
     }
 
-    /// Value mode: overwrites `out[i - i0]` with the plane height for
-    /// every cell `i ∈ [i0, i1]` of row `j` claimed by a span, leaving
-    /// unclaimed slots untouched (callers pre-fill with NaN). Returns
-    /// the number of cells written (with multiplicity, which only
-    /// differs on fp-exact edge crossings).
-    pub fn fill_row_values(&self, j: usize, i0: usize, i1: usize, out: &mut [f64]) -> usize {
-        debug_assert_eq!(out.len(), i1 - i0 + 1);
+    /// Value mode: overwrites `out[i]` with the plane height for every
+    /// cell `i` of row `j` claimed by a span, leaving unclaimed slots
+    /// untouched (callers pre-fill with NaN). Returns the number of
+    /// cells written (with multiplicity, which only differs on fp-exact
+    /// edge crossings).
+    pub fn fill_row_values(&self, j: usize, out: &mut [f64]) -> usize {
+        debug_assert_eq!(out.len(), self.grid.nx());
         let y = self.grid.point(0, j).y;
         let dx = self.grid.dx();
         let mut claimed = 0;
         for &t in &self.rows[j] {
-            let Some((s, e)) = self.row_cells(t, j, i0, i1) else {
+            let Some((s, e)) = self.row_cells(t, j, 0, out.len() - 1) else {
                 continue;
             };
             let tri = &self.tris[t as usize];
             let x0 = self.grid.point(s, j).x;
             let mut z = tri.za + tri.gx * (x0 - tri.geom.a.x) + tri.gy * (y - tri.geom.a.y);
             let step = tri.gx * dx;
-            for slot in &mut out[s - i0..=e - i0] {
+            for slot in &mut out[s..=e] {
                 *slot = z;
                 z += step;
             }
@@ -244,15 +211,25 @@ impl RasterPlan {
     }
 }
 
+/// The two totals the δ quadrature produces.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeltaTotals {
+    /// The paper's δ: `∬ |f − DT| dA` (Eqn. 2).
+    pub delta: f64,
+    /// Root-mean-square pointwise difference (secondary metric).
+    pub rms: f64,
+}
+
 /// Fused δ + RMS quadrature of `|reference − surface|` over `grid`
 /// using the raster kernel: one sweep computes both integrals, with
 /// hull-exterior (and sliver-fallback) cells answered by the surface's
 /// usual extrapolation path.
 ///
 /// Rows are whole work units and are folded in row order, so the
-/// result is bit-identical at every thread count — and, like the walk
-/// quadrature, within quadrature tolerance (≤1e-9 relative) of the
-/// walk kernel's `volume_difference` / `rms_difference` pair.
+/// result is bit-identical at every thread count, and within
+/// quadrature tolerance (≤1e-9 relative) of the per-cell walk pair
+/// [`volume_difference_with`](crate::delta::volume_difference_with) /
+/// [`rms_difference_with`](crate::delta::rms_difference_with).
 pub fn delta_rms_raster<F: Field + Sync>(
     reference: &F,
     surface: &ReconstructedSurface,
@@ -268,7 +245,7 @@ pub fn delta_rms_raster<F: Field + Sync>(
     let xs: Vec<f64> = (0..nx).map(|i| grid.point(i, 0).x).collect();
     let rows = map_rows(grid.ny(), par, |j| {
         let mut heights = vec![f64::NAN; nx];
-        plan.fill_row_values(j, 0, nx - 1, &mut heights);
+        plan.fill_row_values(j, &mut heights);
         // `grid.point(i, j)` is `(xs[i], y)`: x depends on i alone and
         // y on j alone, so the lattice row is the same set of points.
         let y = grid.point(0, j).y;
@@ -277,11 +254,7 @@ pub fn delta_rms_raster<F: Field + Sync>(
         let mut row_sq = 0.0;
         for (i, &z) in heights.iter().enumerate() {
             let p = grid.point(i, j);
-            let approx = if z.is_nan() {
-                surface.value_extrapolated(p).0
-            } else {
-                z
-            };
+            let approx = if z.is_nan() { surface.value(p) } else { z };
             let d = truth[i] - approx;
             row_abs += weight(grid, i, j) * d.abs();
             row_sq += d * d;
@@ -419,16 +392,5 @@ mod tests {
             verified > grid.len() / 2,
             "locate mode should claim most interior cells, got {verified}"
         );
-    }
-
-    #[test]
-    fn kernel_parses_and_round_trips() {
-        assert_eq!("walk".parse::<Kernel>().unwrap(), Kernel::Walk);
-        assert_eq!("raster".parse::<Kernel>().unwrap(), Kernel::Raster);
-        assert!("speedy".parse::<Kernel>().is_err());
-        assert_eq!(Kernel::default(), Kernel::Raster);
-        for k in [Kernel::Walk, Kernel::Raster] {
-            assert_eq!(k.as_str().parse::<Kernel>().unwrap(), k);
-        }
     }
 }

@@ -152,15 +152,10 @@ impl ReconstructedSurface {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+}
 
-    /// Like [`Field::value`], but also reports whether the query fell
-    /// outside the sample hull and was answered by nearest-sample
-    /// extrapolation.
-    ///
-    /// The incremental δ tile cache uses the flag to know which tiles
-    /// depend on the extrapolation region (and must be invalidated
-    /// whenever the vertex set changes, not just when a triangle does).
-    pub fn value_extrapolated(&self, p: Point2) -> (f64, bool) {
+impl Field for ReconstructedSurface {
+    fn value(&self, p: Point2) -> f64 {
         // A fresh cursor per query keeps the result independent of call
         // history (and hence of thread count); the bucket cache alone
         // already provides the O(1) warm start.
@@ -169,25 +164,18 @@ impl ReconstructedSurface {
             .triangulation
             .interpolate_with(&self.cache, &mut cursor, p, &self.samples)
         {
-            Some(z) => (z, false),
+            Some(z) => z,
             None => {
                 // Outside the hull of the samples: nearest-sample value.
                 // Construction guarantees at least 3 vertices, so the
                 // lookup cannot fail; degrade to the sample mean rather
                 // than panicking mid-quadrature if that ever changes.
-                let z = match self.triangulation.nearest_vertex(p) {
+                match self.triangulation.nearest_vertex(p) {
                     Some(id) => self.samples[id.0],
                     None => self.samples.iter().sum::<f64>() / self.samples.len().max(1) as f64,
-                };
-                (z, true)
+                }
             }
         }
-    }
-}
-
-impl Field for ReconstructedSurface {
-    fn value(&self, p: Point2) -> f64 {
-        self.value_extrapolated(p).0
     }
 }
 

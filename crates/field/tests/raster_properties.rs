@@ -1,13 +1,14 @@
 //! Property tests for the rasterized δ-quadrature kernel: on arbitrary
 //! triangulations — slivers and mostly-exterior grids included — the
-//! scanline kernel must (i) agree with the walk quadrature within 1e-9
-//! and (ii) stay **bit-identical** to itself across thread counts,
-//! directly and through the incremental tile cache.
+//! scanline kernel must (i) agree with the per-cell walk quadrature
+//! (`volume_difference_with` + `rms_difference_with`, kept as the
+//! oracle) within 1e-9 and (ii) stay **bit-identical** to itself across
+//! thread counts.
 
-use cps_field::delta::{rms_difference_with, surface_delta_rms_with, volume_difference_with};
+use cps_field::delta::{rms_difference_with, volume_difference_with};
 use cps_field::raster::delta_rms_raster;
 use cps_field::{
-    DeltaCache, GaussianBlob, GaussianMixtureField, Kernel, Parallelism, ReconstructedSurface,
+    DeltaTotals, GaussianBlob, GaussianMixtureField, Parallelism, ReconstructedSurface,
 };
 use cps_geometry::{GridSpec, Point2, Rect};
 use proptest::prelude::*;
@@ -39,6 +40,19 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * b.abs().max(1.0)
 }
 
+/// The per-cell locate-walk pair the raster kernel is checked against.
+fn walk_totals(
+    f: &GaussianMixtureField,
+    surface: &ReconstructedSurface,
+    grid: &GridSpec,
+    par: Parallelism,
+) -> DeltaTotals {
+    DeltaTotals {
+        delta: volume_difference_with(f, surface, grid, par),
+        rms: rms_difference_with(f, surface, grid, par),
+    }
+}
+
 fn surface_from(f: &GaussianMixtureField, points: &[(f64, f64)]) -> Option<ReconstructedSurface> {
     let positions: Vec<Point2> = points.iter().map(|&(x, y)| Point2::new(x, y)).collect();
     let samples: Vec<f64> = positions
@@ -53,8 +67,7 @@ proptest! {
 
     /// The headline guarantee: on arbitrary scattered triangulations
     /// the raster kernel reproduces the walk's δ and RMS within 1e-9,
-    /// at any thread count, and each kernel is bit-identical to its
-    /// own serial run.
+    /// at any thread count, and is bit-identical to its own serial run.
     #[test]
     fn raster_agrees_with_walk_on_random_triangulations(
         f in blobs_strategy(),
@@ -65,20 +78,14 @@ proptest! {
         let Some(surface) = surface_from(&f, &points) else { return Ok(()) };
         let grid = GridSpec::new(region(), nx, ny).unwrap();
         let serial = Parallelism::serial();
-        let walk = surface_delta_rms_with(&f, &surface, &grid, serial, Kernel::Walk);
-        let raster = surface_delta_rms_with(&f, &surface, &grid, serial, Kernel::Raster);
+        let walk = walk_totals(&f, &surface, &grid, serial);
+        let raster = delta_rms_raster(&f, &surface, &grid, serial);
         prop_assert!(close(raster.delta, walk.delta), "delta: raster {} walk {}", raster.delta, walk.delta);
         prop_assert!(close(raster.rms, walk.rms), "rms: raster {} walk {}", raster.rms, walk.rms);
-        // The walk dispatch is exactly the legacy quadrature pair.
-        prop_assert_eq!(walk.delta.to_bits(), volume_difference_with(&f, &surface, &grid, serial).to_bits());
-        prop_assert_eq!(walk.rms.to_bits(), rms_difference_with(&f, &surface, &grid, serial).to_bits());
         for threads in [1usize, 2, 8] {
-            let par = Parallelism::fixed(threads);
-            let r = surface_delta_rms_with(&f, &surface, &grid, par, Kernel::Raster);
+            let r = delta_rms_raster(&f, &surface, &grid, Parallelism::fixed(threads));
             prop_assert_eq!(r.delta.to_bits(), raster.delta.to_bits(), "raster delta at {} threads", threads);
             prop_assert_eq!(r.rms.to_bits(), raster.rms.to_bits(), "raster rms at {} threads", threads);
-            let w = surface_delta_rms_with(&f, &surface, &grid, par, Kernel::Walk);
-            prop_assert_eq!(w.delta.to_bits(), walk.delta.to_bits(), "walk delta at {} threads", threads);
         }
     }
 
@@ -105,8 +112,8 @@ proptest! {
         let Some(surface) = surface_from(&f, &points) else { return Ok(()) };
         let grid = GridSpec::new(region(), 31, 29).unwrap();
         let serial = Parallelism::serial();
-        let walk = surface_delta_rms_with(&f, &surface, &grid, serial, Kernel::Walk);
-        let raster = surface_delta_rms_with(&f, &surface, &grid, serial, Kernel::Raster);
+        let walk = walk_totals(&f, &surface, &grid, serial);
+        let raster = delta_rms_raster(&f, &surface, &grid, serial);
         prop_assert!(close(raster.delta, walk.delta), "delta: raster {} walk {}", raster.delta, walk.delta);
         prop_assert!(close(raster.rms, walk.rms), "rms: raster {} walk {}", raster.rms, walk.rms);
     }
@@ -124,37 +131,9 @@ proptest! {
         let Some(surface) = surface_from(&f, &points) else { return Ok(()) };
         let grid = GridSpec::new(region(), 41, 41).unwrap();
         let par = Parallelism::fixed(threads);
-        let walk = surface_delta_rms_with(&f, &surface, &grid, par, Kernel::Walk);
-        let raster = surface_delta_rms_with(&f, &surface, &grid, par, Kernel::Raster);
+        let walk = walk_totals(&f, &surface, &grid, par);
+        let raster = delta_rms_raster(&f, &surface, &grid, par);
         prop_assert!(close(raster.delta, walk.delta), "delta: raster {} walk {}", raster.delta, walk.delta);
         prop_assert!(close(raster.rms, walk.rms), "rms: raster {} walk {}", raster.rms, walk.rms);
-    }
-
-    /// The tile cache on the raster kernel: a cold refresh matches the
-    /// fused full-grid raster sweep within 1e-9 and is bit-identical
-    /// across thread counts; cache on/off never drifts past 1e-9 from
-    /// the walk ground truth.
-    #[test]
-    fn cached_raster_refresh_tracks_the_fused_sweep(
-        f in blobs_strategy(),
-        points in prop::collection::vec((0.5..9.5f64, 0.5..9.5f64), 6..16),
-    ) {
-        let Some(surface) = surface_from(&f, &points) else { return Ok(()) };
-        let grid = GridSpec::new(region(), 41, 37).unwrap();
-        let serial = Parallelism::serial();
-        let fused = delta_rms_raster(&f, &surface, &grid, serial);
-        let mut cache = DeltaCache::new(&f, &grid, serial);
-        let cached = cache.refresh_with_kernel(&surface, serial, Kernel::Raster);
-        prop_assert!(close(cached.delta, fused.delta), "delta: cached {} fused {}", cached.delta, fused.delta);
-        prop_assert!(close(cached.rms, fused.rms), "rms: cached {} fused {}", cached.rms, fused.rms);
-        let walk = surface_delta_rms_with(&f, &surface, &grid, serial, Kernel::Walk);
-        prop_assert!(close(cached.delta, walk.delta), "delta: cached {} walk {}", cached.delta, walk.delta);
-        for threads in [2usize, 8] {
-            let par = Parallelism::fixed(threads);
-            let mut c = DeltaCache::new(&f, &grid, par);
-            let t = c.refresh_with_kernel(&surface, par, Kernel::Raster);
-            prop_assert_eq!(t.delta.to_bits(), cached.delta.to_bits(), "cached raster delta at {} threads", threads);
-            prop_assert_eq!(t.rms.to_bits(), cached.rms.to_bits(), "cached raster rms at {} threads", threads);
-        }
     }
 }

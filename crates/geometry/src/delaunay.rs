@@ -233,9 +233,9 @@ impl Triangulation {
     /// without materializing the `Vec` that [`Triangulation::triangles`]
     /// snapshots.
     ///
-    /// Dirty-triangle differs (the incremental δ tile cache) walk both
-    /// the previous and the current triangulation on every refresh, so
-    /// the visitor form keeps that path allocation-free.
+    /// The raster quadrature plans every triangle on each δ evaluation
+    /// and error refresh, so the visitor form keeps that path
+    /// allocation-free.
     pub fn for_each_triangle<F: FnMut([VertexId; 3], Triangle)>(&self, mut f: F) {
         for t in self
             .tris

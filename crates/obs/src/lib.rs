@@ -63,18 +63,6 @@ pub enum Counter {
     /// Survivor evaluations that fell back to the constant surface
     /// (fleet culled below the triangulation minimum).
     SurvivorFallbacks,
-    /// δ-cache tiles reused as-is by a refresh (no recomputation).
-    TileCacheHits,
-    /// δ-cache tiles re-integrated by a refresh (initial priming or
-    /// invalidated by a dirty triangle).
-    TileCacheMisses,
-    /// δ-cache tiles flipped valid → invalid by dirty-triangle or
-    /// extrapolation-region invalidation.
-    TileInvalidations,
-    /// δ-cache reference re-primes: the reference field's probe values
-    /// changed (e.g. a time-varying field advanced), forcing a full
-    /// reference sweep and tile rebuild.
-    CacheReprimes,
     /// Simulation snapshots persisted to a checkpoint directory.
     CheckpointsWritten,
     /// Snapshots successfully loaded and verified on restore.
@@ -105,7 +93,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 17] = [
         Counter::DelaunayInserts,
         Counter::CavityRecomputes,
         Counter::FullGridRecomputes,
@@ -113,10 +101,6 @@ impl Counter {
         Counter::RelayReplans,
         Counter::FaultRetries,
         Counter::SurvivorFallbacks,
-        Counter::TileCacheHits,
-        Counter::TileCacheMisses,
-        Counter::TileInvalidations,
-        Counter::CacheReprimes,
         Counter::CheckpointsWritten,
         Counter::CheckpointsLoaded,
         Counter::CheckpointsRejected,
@@ -139,10 +123,6 @@ impl Counter {
             Counter::RelayReplans => "relay_replans",
             Counter::FaultRetries => "fault_retries",
             Counter::SurvivorFallbacks => "survivor_fallbacks",
-            Counter::TileCacheHits => "tile_cache_hits",
-            Counter::TileCacheMisses => "tile_cache_misses",
-            Counter::TileInvalidations => "tile_invalidations",
-            Counter::CacheReprimes => "cache_reprimes",
             Counter::CheckpointsWritten => "checkpoints_written",
             Counter::CheckpointsLoaded => "checkpoints_loaded",
             Counter::CheckpointsRejected => "checkpoints_rejected",
@@ -182,9 +162,6 @@ pub enum Phase {
     CmaMove,
     /// δ quadrature over the evaluation grid (Eqn. 2).
     DeltaQuadrature,
-    /// Incremental δ refresh: dirty-triangle diff plus re-integration
-    /// of the invalidated tiles only.
-    DeltaTileRefresh,
     /// Checkpoint persistence: snapshot encoding plus the atomic
     /// write-checksum-fsync-rename sequence.
     CheckpointWrite,
@@ -223,7 +200,6 @@ impl Phase {
             Phase::CmaForce => "cma_force",
             Phase::CmaMove => "cma_move",
             Phase::DeltaQuadrature => "delta_quadrature",
-            Phase::DeltaTileRefresh => "delta_tile_refresh",
             Phase::CheckpointWrite => "checkpoint_write",
             Phase::DeltaRaster => "delta_raster",
             Phase::SweepJob => "sweep_job",

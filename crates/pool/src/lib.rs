@@ -1,8 +1,8 @@
 //! Persistent worker-thread pool for the hot evaluation path.
 //!
-//! The δ quadrature and the tile-cache refresh are called thousands of times
-//! per simulation, and spawning scoped threads on every call costs far more
-//! than the row work itself on small grids.  This crate keeps a small set of
+//! The δ quadrature and the FRA local-error refresh are called thousands of
+//! times per simulation, and spawning scoped threads on every call costs far
+//! more than the row work itself on small grids.  This crate keeps a small set of
 //! long-lived workers parked on a shared queue; callers hand over a batch of
 //! erased jobs plus a closure to run on the calling thread, and block until
 //! every job has signalled completion.

@@ -18,10 +18,11 @@
 //! index)` alone — so restoring the slot cursor restores the entire
 //! future of the fault schedule. Floats round-trip exactly: values are
 //! serialized with Rust's shortest-representation formatting, which
-//! reparses to the identical bit pattern. The δ tile cache is *not*
-//! checkpointed; it re-primes lazily after a restore and the
-//! probe-guarded priming reproduces the uninterrupted values (cached
-//! and uncached resumes are both bit-identical — property-tested).
+//! reparses to the identical bit pattern. δ evaluation keeps no state
+//! between recordings, so nothing about it needs checkpointing.
+//! Decoding reads fields by key and ignores unknown ones, so snapshots
+//! that still record the since-removed δ kernel and tile-cache
+//! settings load and resume bit-identically.
 //!
 //! # On-disk format
 //!
@@ -50,7 +51,7 @@ use std::path::{Path, PathBuf};
 
 use cps_core::ostd::CmaConfig;
 use cps_core::{
-    CoreError, DeploymentEvaluation, EvalOptions, Kernel, SurvivabilityState, SurvivabilityTracker,
+    CoreError, DeploymentEvaluation, EvalOptions, SurvivabilityState, SurvivabilityTracker,
 };
 use cps_geometry::{Point2, Rect};
 use serde_json::Value;
@@ -139,14 +140,6 @@ pub struct SimSnapshot {
     pub region: Rect,
     /// The gossiped curvature normalization reference.
     pub curvature_scale: f64,
-    /// Whether δ measurements of this run used the incremental tile
-    /// cache (the cache itself re-primes lazily after restore).
-    pub eval_cached: bool,
-    /// Which quadrature kernel δ measurements of this run used.
-    /// Snapshots written before the kernel existed decode as
-    /// [`Kernel::Walk`], so old runs resume on the exact arithmetic
-    /// path they were taken with.
-    pub eval_kernel: Kernel,
     /// Stage names of the pipeline that produced this snapshot, in
     /// execution order. Snapshots written before the stage pipeline
     /// existed decode as the standard sequence; restore rejects
@@ -369,11 +362,6 @@ impl SimSnapshot {
                 "curvature_scale",
                 num("curvature_scale", self.curvature_scale)?,
             ),
-            ("eval_cached", Value::Bool(self.eval_cached)),
-            (
-                "eval_kernel",
-                Value::String(self.eval_kernel.as_str().to_string()),
-            ),
             (
                 "pipeline",
                 Value::Array(
@@ -427,8 +415,8 @@ impl SimSnapshot {
             Value::Null => None,
             s => Some(decode_survivability(s)?),
         };
-        // Lenient like `eval_kernel`: snapshots written before the
-        // stage pipeline existed ran the standard sequence.
+        // Lenient: snapshots written before the stage pipeline existed
+        // ran the standard sequence.
         let pipeline = match value.get("pipeline") {
             None | Some(Value::Null) => crate::stage::STANDARD_STAGES
                 .iter()
@@ -457,8 +445,6 @@ impl SimSnapshot {
             cma: decode_cma(get(value, "cma")?)?,
             region,
             curvature_scale: dec_f64(value, "curvature_scale")?,
-            eval_cached: dec_bool(value, "eval_cached")?,
-            eval_kernel: dec_kernel(value)?,
             pipeline,
             nodes,
             fault,
@@ -738,19 +724,6 @@ pub(crate) fn dec_bool(value: &Value, key: &str) -> Result<bool, CoreError> {
     get(value, key)?
         .as_bool()
         .ok_or_else(|| corrupt(format!("field {key} must be a boolean")))
-}
-
-/// Decodes the quadrature kernel; pre-kernel snapshots lack the field
-/// and resume on the walk path they were recorded with.
-fn dec_kernel(value: &Value) -> Result<Kernel, CoreError> {
-    match value.get("eval_kernel") {
-        None => Ok(Kernel::Walk),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| corrupt("field eval_kernel must be a string".to_string()))?
-            .parse::<Kernel>()
-            .map_err(corrupt),
-    }
 }
 
 pub(crate) fn dec_str(value: &Value, key: &str) -> Result<String, CoreError> {
@@ -1294,8 +1267,6 @@ mod tests {
             cma: CmaConfig::default(),
             region: Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap(),
             curvature_scale: 0.012_345_678_901_234_5,
-            eval_cached: true,
-            eval_kernel: Kernel::Raster,
             pipeline: crate::stage::STANDARD_STAGES
                 .iter()
                 .map(|s| s.to_string())
@@ -1411,26 +1382,78 @@ mod tests {
     }
 
     #[test]
-    fn pre_kernel_snapshots_decode_to_the_walk_path() {
-        // Snapshots written before the quadrature kernel existed carry
-        // no eval_kernel field; they must resume on the walk arithmetic
-        // they were recorded with, not the new raster default.
-        let snap = sample_snapshot();
-        let payload = serde_json::to_string(&snap.encode().unwrap()).unwrap();
-        assert!(payload.contains("eval_kernel"));
-        let stripped = payload.replace("\"eval_kernel\":\"raster\",", "");
-        assert_ne!(payload, stripped);
-        let value: Value = serde_json::from_str(&stripped).unwrap();
-        let back = SimSnapshot::decode(&value).unwrap();
-        assert_eq!(back.eval_kernel, Kernel::Walk);
+    fn snapshots_with_removed_eval_fields_resume_bit_identically() {
+        // Snapshots written while δ had a kernel switch and a tile
+        // cache carry `eval_cached` and `eval_kernel`. The decoder
+        // reads by key, so such a snapshot still loads, and resuming
+        // it reproduces the uninterrupted run to the bit.
+        use cps_field::{PeaksField, Static};
+        use cps_geometry::GridSpec;
 
-        // An unrecognized kernel name is corruption, not a default.
-        let garbled = payload.replace("\"eval_kernel\":\"raster\"", "\"eval_kernel\":\"simpson\"");
-        let value: Value = serde_json::from_str(&garbled).unwrap();
-        assert!(matches!(
-            SimSnapshot::decode(&value),
-            Err(CoreError::SnapshotCorrupt { .. })
-        ));
+        let region = Rect::square(100.0).unwrap();
+        let field = Static::new(PeaksField::new(region, 8.0));
+        let grid = GridSpec::new(region, 21, 21).unwrap();
+        let start = crate::scenario::grid_start(region, 25);
+        let (checkpoint_slot, total_slots) = (3, 7);
+        let mut reference = crate::CmaBuilder::new(region, start.clone())
+            .start_time(600.0)
+            .run(field)
+            .unwrap();
+        let mut ref_timeline = DeltaTimeline::new();
+        for _ in 0..total_slots {
+            reference.step().unwrap();
+            ref_timeline.record(&reference, &grid).unwrap();
+        }
+
+        let mut interrupted = crate::CmaBuilder::new(region, start)
+            .start_time(600.0)
+            .run(field)
+            .unwrap();
+        let mut timeline = DeltaTimeline::new();
+        for _ in 0..checkpoint_slot {
+            interrupted.step().unwrap();
+            timeline.record(&interrupted, &grid).unwrap();
+        }
+        let mut snap = interrupted.checkpoint();
+        snap.attach_timeline(&timeline);
+        let Value::Object(mut fields) = snap.encode().unwrap() else {
+            panic!("a snapshot encodes to a JSON object");
+        };
+        fields.insert("eval_cached".to_string(), Value::Bool(false));
+        fields.insert(
+            "eval_kernel".to_string(),
+            Value::String("raster".to_string()),
+        );
+        let payload = serde_json::to_string(&Value::Object(fields)).unwrap();
+        assert!(payload.contains(r#""eval_cached":false,"eval_kernel":"raster","#));
+        let mut bytes = format!(
+            "{MAGIC} {SNAPSHOT_VERSION} {:016x} {}\n",
+            fnv1a64(payload.as_bytes()),
+            payload.len()
+        )
+        .into_bytes();
+        bytes.extend_from_slice(payload.as_bytes());
+
+        let snap = SimSnapshot::from_bytes(&bytes).unwrap();
+        let mut timeline = snap.timeline(EvalOptions::new()).unwrap();
+        let mut resumed = crate::CmaBuilder::resume_from(snap).run(field).unwrap();
+        assert_eq!(resumed.slot(), checkpoint_slot);
+        for _ in checkpoint_slot..total_slots {
+            resumed.step().unwrap();
+            timeline.record(&resumed, &grid).unwrap();
+        }
+        for (a, b) in reference.nodes().iter().zip(resumed.nodes()) {
+            assert_eq!(a.position.x.to_bits(), b.position.x.to_bits());
+            assert_eq!(a.position.y.to_bits(), b.position.y.to_bits());
+            assert_eq!(a.curvature.to_bits(), b.curvature.to_bits());
+        }
+        assert_eq!(reference.nodes(), resumed.nodes());
+        assert_eq!(ref_timeline.len(), timeline.len());
+        for ((ta, ea), (tb, eb)) in ref_timeline.samples().iter().zip(timeline.samples()) {
+            assert_eq!(ta.to_bits(), tb.to_bits());
+            assert_eq!(ea.delta.to_bits(), eb.delta.to_bits());
+            assert_eq!(ea.rms.to_bits(), eb.rms.to_bits());
+        }
     }
 
     #[test]

@@ -323,10 +323,10 @@ impl<F: TimeVaryingField> Simulation<F> {
 
     /// Captures the complete engine state as a [`SimSnapshot`]:
     /// restoring it (with the same field) and stepping on is
-    /// bit-identical to never having stopped, at any thread count,
-    /// cache on or off. The field itself is not captured — attach how
-    /// to rebuild it via [`SimSnapshot::label`] — and neither are
-    /// app-level recorders; see [`SimSnapshot::attach_timeline`] and
+    /// bit-identical to never having stopped, at any thread count. The
+    /// field itself is not captured — attach how to rebuild it via
+    /// [`SimSnapshot::label`] — and neither are app-level recorders; see
+    /// [`SimSnapshot::attach_timeline`] and
     /// [`SimSnapshot::attach_survivability`].
     pub fn checkpoint(&self) -> SimSnapshot {
         SimSnapshot {
@@ -342,8 +342,6 @@ impl<F: TimeVaryingField> Simulation<F> {
             cma: self.cma,
             region: self.region,
             curvature_scale: self.curvature_scale,
-            eval_cached: self.eval.cached,
-            eval_kernel: self.eval.kernel,
             pipeline: crate::stage::STANDARD_STAGES
                 .iter()
                 .map(|s| s.to_string())
@@ -695,28 +693,21 @@ impl CmaBuilder {
     /// The thread policy defaults to [`Parallelism::auto`] and may be
     /// overridden with [`parallelism`](CmaBuilder::parallelism) or
     /// [`evaluator`](CmaBuilder::evaluator) — results do not depend on
-    /// it. Whether δ evaluation uses the tile cache, and which
-    /// quadrature kernel it runs on, are restored from the snapshot
-    /// (both overridable). Deployment-time settings
-    /// ([`config`](CmaBuilder::config),
+    /// it. Deployment-time settings ([`config`](CmaBuilder::config),
     /// [`start_time`](CmaBuilder::start_time),
     /// [`faults`](CmaBuilder::faults)) are ignored on resume: the
     /// snapshot is authoritative.
     pub fn resume_from(snapshot: SimSnapshot) -> Self {
         let mut builder = CmaBuilder::new(snapshot.region, Vec::new());
-        builder.eval.cached = snapshot.eval_cached;
-        builder.eval.kernel = snapshot.eval_kernel;
         builder.resume = Some(Box::new(snapshot));
         builder
     }
 
     /// Sets the evaluation options shared with
     /// [`cps_core::DeltaEvaluator`] and the FRA builder: the thread
-    /// policy (also applied to the per-node sensing phase) and whether
-    /// δ measurements of this run should use the incremental tile
-    /// cache. Consumers read them back via
-    /// [`Simulation::eval_options`] — `DeltaTimeline` does so when
-    /// built with `DeltaTimeline::for_simulation`.
+    /// policy (also applied to the per-node sensing phase). Consumers
+    /// read it back via [`Simulation::eval_options`] — `DeltaTimeline`
+    /// does so when built with `DeltaTimeline::for_simulation`.
     pub fn evaluator(mut self, opts: EvalOptions) -> Self {
         self.config.parallelism = opts.parallelism;
         self.eval = opts;
@@ -908,9 +899,7 @@ mod tests {
     #[test]
     fn builder_carries_eval_options() {
         let f = Static::new(GaussianBlob::isotropic(Point2::new(50.0, 50.0), 50.0, 8.0));
-        let opts = EvalOptions::new()
-            .parallelism(Parallelism::fixed(2))
-            .cached(true);
+        let opts = EvalOptions::new().parallelism(Parallelism::fixed(2));
         let sim = CmaBuilder::new(region(), grid16())
             .evaluator(opts)
             .run(f)

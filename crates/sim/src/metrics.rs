@@ -2,7 +2,7 @@
 //! detection.
 
 use cps_core::{CoreError, DeltaEvaluator, DeploymentEvaluation, EvalOptions};
-use cps_field::{DeltaCache, Parallelism, TimeVaryingField};
+use cps_field::{Parallelism, TimeVaryingField};
 use cps_geometry::GridSpec;
 
 use crate::{FaultEvent, Simulation};
@@ -14,19 +14,14 @@ use crate::{FaultEvent, Simulation};
 /// below three nodes degrades to a constant-surface δ instead of
 /// erroring. Options come from [`EvalOptions`]
 /// ([`DeltaTimeline::with_options`]): recorded values are bit-identical
-/// at any thread count, and with the tile cache on, each recording of a
-/// slowly moving swarm re-integrates only the tiles whose
-/// reconstruction triangles changed since the last one (agreement with
-/// the uncached path within 1e-9; the reference must be effectively
-/// static for the cache to pay off — a drifting field re-primes it
-/// every sample).
+/// at any thread count.
 ///
 /// When the simulation carries a fault plan, each
 /// [`record`](DeltaTimeline::record) call also copies the fault events
 /// that occurred since the previous recording, so deaths, partitions,
 /// and reconnections line up with the δ(t) series (see
 /// [`DeltaTimeline::events`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaTimeline {
     samples: Vec<(f64, DeploymentEvaluation)>,
     events: Vec<FaultEvent>,
@@ -34,18 +29,6 @@ pub struct DeltaTimeline {
     /// `events` so far.
     events_synced: usize,
     opts: EvalOptions,
-    /// Tile cache carried across recordings (only with `opts.cached`);
-    /// excluded from equality — it is an accelerator, not a result.
-    cache: Option<DeltaCache>,
-}
-
-impl PartialEq for DeltaTimeline {
-    fn eq(&self, other: &Self) -> bool {
-        self.samples == other.samples
-            && self.events == other.events
-            && self.events_synced == other.events_synced
-            && self.opts == other.opts
-    }
 }
 
 impl DeltaTimeline {
@@ -89,17 +72,11 @@ impl DeltaTimeline {
     ) -> Result<DeploymentEvaluation, CoreError> {
         let frozen = sim.field().at_time(sim.time());
         // The frozen field borrows the simulation, so the evaluator is
-        // rebuilt per recording; the tile cache is what persists.
-        let mut evaluator = DeltaEvaluator::new(&frozen, grid, sim.config().cps.comm_radius())
+        // rebuilt per recording.
+        let eval = DeltaEvaluator::new(&frozen, grid, sim.config().cps.comm_radius())
             .options(self.opts)
-            .survivors(true);
-        if let Some(cache) = self.cache.take() {
-            evaluator = evaluator.with_cache(cache);
-        }
-        let eval = evaluator.evaluate(&sim.positions())?;
-        if self.opts.cached {
-            self.cache = evaluator.take_cache();
-        }
+            .survivors(true)
+            .evaluate(&sim.positions())?;
         let pending = sim.fault_events();
         if pending.len() > self.events_synced {
             self.events
@@ -122,11 +99,7 @@ impl DeltaTimeline {
         self.events_synced
     }
 
-    /// Rebuilds a timeline from checkpointed parts. The tile cache is
-    /// deliberately *not* part of the state: it re-primes lazily on the
-    /// first [`record`](DeltaTimeline::record) after a restore, and the
-    /// probe-guarded priming reproduces the uninterrupted run's values
-    /// bit for bit (cache contents are an accelerator, not a result).
+    /// Rebuilds a timeline from checkpointed parts.
     pub fn from_state(
         opts: EvalOptions,
         samples: Vec<(f64, DeploymentEvaluation)>,
@@ -138,7 +111,6 @@ impl DeltaTimeline {
             events,
             events_synced,
             opts,
-            cache: None,
         }
     }
 
@@ -270,40 +242,6 @@ mod tests {
             let e = timeline.record(&sim, &grid).unwrap();
             assert_eq!(s.delta.to_bits(), e.delta.to_bits(), "{par:?}");
             assert_eq!(s.rms.to_bits(), e.rms.to_bits(), "{par:?}");
-        }
-    }
-
-    #[test]
-    fn cached_timeline_agrees_with_uncached() {
-        let region = Rect::square(100.0).unwrap();
-        let field = Static::new(PeaksField::new(region, 8.0));
-        let start = scenario::grid_start(region, 36);
-        let opts = EvalOptions::new().cached(true);
-        let mut sim = CmaBuilder::new(region, start.clone())
-            .evaluator(opts)
-            .run(field)
-            .unwrap();
-        let grid = GridSpec::new(region, 41, 41).unwrap();
-        let mut cached = DeltaTimeline::for_simulation(&sim);
-        let mut plain = DeltaTimeline::new();
-        for _ in 0..4 {
-            cached.record(&sim, &grid).unwrap();
-            plain.record(&sim, &grid).unwrap();
-            for _ in 0..3 {
-                sim.step().unwrap();
-            }
-        }
-        for ((t1, a), (t2, b)) in cached.samples().iter().zip(plain.samples()) {
-            assert_eq!(t1, t2);
-            assert!(
-                (a.delta - b.delta).abs() <= 1e-9 * b.delta.abs().max(1.0),
-                "cached {} vs uncached {}",
-                a.delta,
-                b.delta
-            );
-            assert!((a.rms - b.rms).abs() <= 1e-9 * b.rms.abs().max(1.0));
-            assert_eq!(a.connected, b.connected);
-            assert_eq!(a.node_count, b.node_count);
         }
     }
 

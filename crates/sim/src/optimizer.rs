@@ -144,9 +144,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the shared evaluation options (thread policy, tile cache,
-    /// quadrature kernel) — the counterpart of both
-    /// [`CmaBuilder::evaluator`] and [`FraBuilder::evaluator`].
+    /// Sets the shared evaluation options (the thread policy) — the
+    /// counterpart of both [`CmaBuilder::evaluator`] and
+    /// [`FraBuilder::evaluator`].
     pub fn evaluator(mut self, opts: EvalOptions) -> Self {
         self.config.parallelism = opts.parallelism;
         self.eval = opts;

@@ -46,14 +46,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cps_core::{CoreError, CpsConfig, EvalOptions, Kernel};
+use cps_core::{CoreError, CpsConfig, EvalOptions};
 use cps_field::{Parallelism, TimeVaryingField};
 use cps_geometry::{GridSpec, Point2, Rect};
 use serde_json::Value;
 
 use crate::checkpoint::{
-    atomic_write, corrupt, dec_bool, dec_f64, dec_str, dec_u64, fnv1a64, get, int, num, obj,
-    snapshot_io,
+    atomic_write, corrupt, dec_bool, dec_f64, dec_u64, fnv1a64, get, int, num, obj, snapshot_io,
 };
 use crate::fault::FaultPlan;
 use crate::{scenario, CmaBuilder, DeltaTimeline, FaultEvent, RunRecorder, SimConfig};
@@ -94,10 +93,6 @@ pub struct SweepSpec {
     /// Start-lattice spacing as a fraction of `Rc` (the canonical
     /// mobile scenarios use 0.93 so every lattice edge starts slack).
     pub spacing_factor: f64,
-    /// Whether δ evaluation uses the incremental tile cache.
-    pub cached: bool,
-    /// Which δ quadrature kernel to run.
-    pub kernel: Kernel,
     /// Simulation clock at deployment (minutes).
     pub start_time: f64,
 }
@@ -115,8 +110,6 @@ impl Default for SweepSpec {
             sample_every: 5,
             resolution: 61,
             spacing_factor: 0.93,
-            cached: false,
-            kernel: Kernel::Raster,
             start_time: 600.0,
         }
     }
@@ -232,8 +225,10 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// [`CoreError::SnapshotCorrupt`] on malformed JSON or fields of
-    /// the wrong shape; [`CoreError::InvalidParameter`] when the parsed
+    /// [`CoreError::SnapshotCorrupt`] on malformed JSON, a key the spec
+    /// does not know (named in the message, so a typo cannot silently
+    /// fall back to a default), or fields of the wrong shape;
+    /// [`CoreError::InvalidParameter`] when the parsed
     /// spec fails [`SweepSpec::validate`].
     pub fn from_json(text: &str) -> Result<Self, CoreError> {
         let value: Value =
@@ -285,15 +280,15 @@ impl SweepSpec {
                 "spacing_factor",
                 num("spacing_factor", self.spacing_factor)?,
             ),
-            ("cached", Value::Bool(self.cached)),
-            ("kernel", Value::String(self.kernel.as_str().to_string())),
             ("start_time", num("start_time", self.start_time)?),
         ]))
     }
 
     fn decode(value: &Value) -> Result<Self, CoreError> {
+        reject_unknown_keys(value, "spec", SPEC_KEYS)?;
         let mut spec = SweepSpec::default();
         if let Some(r) = value.get("region") {
+            reject_unknown_keys(r, "region", REGION_KEYS)?;
             spec.region = Rect::new(
                 Point2::new(dec_f64(r, "min_x")?, dec_f64(r, "min_y")?),
                 Point2::new(dec_f64(r, "max_x")?, dec_f64(r, "max_y")?),
@@ -356,18 +351,39 @@ impl SweepSpec {
         if value.get("spacing_factor").is_some() {
             spec.spacing_factor = dec_f64(value, "spacing_factor")?;
         }
-        if value.get("cached").is_some() {
-            spec.cached = dec_bool(value, "cached")?;
-        }
-        if value.get("kernel").is_some() {
-            spec.kernel = dec_str(value, "kernel")?
-                .parse::<Kernel>()
-                .map_err(corrupt)?;
-        }
         if value.get("start_time").is_some() {
             spec.start_time = dec_f64(value, "start_time")?;
         }
         Ok(spec)
+    }
+}
+
+/// Every key a spec object may carry (what [`SweepSpec::to_json`] writes).
+const SPEC_KEYS: &[&str] = &[
+    "region",
+    "seeds",
+    "k",
+    "comm_radius",
+    "faults",
+    "minutes",
+    "sample_every",
+    "resolution",
+    "spacing_factor",
+    "start_time",
+];
+
+/// Every key the spec's `region` object may carry.
+const REGION_KEYS: &[&str] = &["min_x", "min_y", "max_x", "max_y"];
+
+/// Fails on the first key of the JSON object `value` that is not in
+/// `known` (or when `value` is not an object at all).
+fn reject_unknown_keys(value: &Value, what: &str, known: &[&str]) -> Result<(), CoreError> {
+    let Value::Object(fields) = value else {
+        return Err(corrupt(format!("{what} must be a JSON object")));
+    };
+    match fields.keys().find(|key| !known.contains(&key.as_str())) {
+        Some(key) => Err(corrupt(format!("unknown {what} key '{key}'"))),
+        None => Ok(()),
     }
 }
 
@@ -931,10 +947,7 @@ fn run_job<F: TimeVaryingField + Sync>(
     };
     let start =
         scenario::grid_start_spaced(spec.region, job.k, spec.spacing_factor * job.comm_radius)?;
-    let eval = EvalOptions::new()
-        .parallelism(Parallelism::serial())
-        .cached(spec.cached)
-        .kernel(spec.kernel);
+    let eval = EvalOptions::new().parallelism(Parallelism::serial());
     // `.config` before `.evaluator`: the evaluator call also installs
     // its (serial) parallelism into the sim config.
     let mut builder = CmaBuilder::new(spec.region, start)
@@ -1161,6 +1174,8 @@ mod tests {
     fn spec_round_trips_and_digest_is_stable() {
         let spec = tiny_spec();
         let text = spec.to_json().unwrap();
+        // Decoding rejects unknown keys, so this also checks that every
+        // key `to_json` writes is one the decoder knows.
         let back = SweepSpec::from_json(&text).unwrap();
         assert_eq!(spec, back);
         assert_eq!(spec.digest().unwrap(), back.digest().unwrap());
@@ -1170,6 +1185,27 @@ mod tests {
         assert_eq!(minimal.k, vec![4, 9]);
         assert_eq!(minimal.seeds, SweepSpec::default().seeds);
         assert_ne!(minimal.digest().unwrap(), spec.digest().unwrap());
+    }
+
+    #[test]
+    fn spec_rejects_unknown_keys_by_name() {
+        let reason = |text: &str| match SweepSpec::from_json(text) {
+            Err(CoreError::SnapshotCorrupt { reason, .. }) => reason,
+            other => panic!("{text}: expected SnapshotCorrupt, got {other:?}"),
+        };
+        // A typo is rejected by name instead of running defaults.
+        assert_eq!(
+            reason(r#"{"k": [4], "kernal": "walk"}"#),
+            "unknown spec key 'kernal'"
+        );
+        // Keys of the removed kernel switch and tile cache fail loudly.
+        assert_eq!(reason(r#"{"kernel": "walk"}"#), "unknown spec key 'kernel'");
+        assert_eq!(reason(r#"{"cached": true}"#), "unknown spec key 'cached'");
+        assert_eq!(
+            reason(r#"{"region": {"min_x": 0, "min_y": 0, "max_x": 9, "max_y": 9, "max_z": 1}}"#),
+            "unknown region key 'max_z'"
+        );
+        assert_eq!(reason("[1, 2]"), "spec must be a JSON object");
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn main() -> Result<(), cps::Error> {
     );
 
     // One evaluator serves every strategy at this radius.
-    let mut evaluator = DeltaEvaluator::new(&reference, &grid, rc);
+    let evaluator = DeltaEvaluator::new(&reference, &grid, rc);
 
     // Random scattering (mean over 5 seeds shown for the first seed's
     // connectivity).

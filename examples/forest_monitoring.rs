@@ -46,7 +46,7 @@ fn main() -> Result<(), cps::Error> {
     // spatial structure persists, so the plan keeps working.
     for hour in [10u32, 11] {
         let truth = dataset.region_field(region, Channel::Light, hour, 101)?;
-        let mut evaluator = DeltaEvaluator::new(&truth, &grid, 10.0);
+        let evaluator = DeltaEvaluator::new(&truth, &grid, 10.0);
         let planned = evaluator.evaluate(&plan.positions)?;
         let mut rng = StdRng::seed_from_u64(1);
         let random = baselines::random_deployment(region, k, &mut rng);

@@ -1,7 +1,6 @@
 //! Integration: checkpoint/restore across the full stack — a resumed
 //! run must be bit-identical to an uninterrupted one at every thread
-//! count, with the tile cache on or off, even when the checkpoint
-//! lands in the middle of a fault plan; corrupted snapshots must fail
+//! count, even when the checkpoint lands in the middle of a fault plan; corrupted snapshots must fail
 //! with typed errors and fall back to the newest valid one.
 
 use std::fs;
@@ -50,7 +49,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The tentpole property: for random fault plans, checkpoint
-    /// slots, thread counts, and cache settings, resuming from a
+    /// slots, and thread counts, resuming from a
     /// byte-round-tripped snapshot reproduces the uninterrupted run
     /// (under the same evaluation options) exactly: node state to the
     /// bit, fault events, δ samples, and the survivability ledger.
@@ -61,10 +60,9 @@ proptest! {
         kill_slot in 4..10u64,
         checkpoint_slot in 3..9u64,
         threads_idx in 0..3usize,
-        cached in any::<bool>(),
     ) {
         let par = Parallelism::fixed([1usize, 2, 8][threads_idx]);
-        let opts = EvalOptions::new().parallelism(par).cached(cached);
+        let opts = EvalOptions::new().parallelism(par);
         let grid = GridSpec::new(region(), 21, 21).unwrap();
         let start = scenario::grid_start(region(), 25);
         let plan = FaultPlan::parse(&format!(

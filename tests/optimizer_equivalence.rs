@@ -6,12 +6,9 @@
 //! * hybrid with FRA refinement disabled ≡ pure CMA (grid start plus
 //!   the same movement slots).
 //!
-//! The cases sweep fleet sizes, both quadrature kernels, and the tile
-//! cache, since an equivalence that held only on one arithmetic path
-//! would be no equivalence at all.
+//! The cases sweep fleet sizes.
 
-use cps::core::EvalOptions;
-use cps::field::{Kernel, PeaksField, Static};
+use cps::field::{PeaksField, Static};
 use cps::geometry::{Point2, Rect};
 use cps::sim::{
     CmaOptimizer, EngineBuilder, FraOptimizer, HybridOptimizer, Optimizer, OptimizerKind,
@@ -25,22 +22,11 @@ fn field() -> Static<PeaksField> {
     Static::new(PeaksField::new(region(), 8.0))
 }
 
-/// A small-but-varied case grid: fleet size × kernel × cache.
-fn cases() -> Vec<(usize, Kernel, bool)> {
-    let mut out = Vec::new();
-    for &k in &[8usize, 13, 21] {
-        for &kernel in &[Kernel::Walk, Kernel::Raster] {
-            for &cached in &[false, true] {
-                out.push((k, kernel, cached));
-            }
-        }
-    }
-    out
-}
+/// The fleet sizes every equivalence is checked at.
+const FLEET_SIZES: [usize; 3] = [8, 13, 21];
 
-fn builder(k: usize, kernel: Kernel, cached: bool) -> EngineBuilder {
+fn builder(k: usize) -> EngineBuilder {
     EngineBuilder::new(region(), k)
-        .evaluator(EvalOptions::new().kernel(kernel).cached(cached))
         .start_time(600.0)
         .grid_resolution(41)
 }
@@ -54,8 +40,8 @@ fn position_bits(positions: &[Point2]) -> Vec<(u64, u64)> {
 
 #[test]
 fn hybrid_with_zero_polish_is_bit_identical_to_pure_fra() {
-    for (k, kernel, cached) in cases() {
-        let base = builder(k, kernel, cached).minutes(0);
+    for k in FLEET_SIZES {
+        let base = builder(k).minutes(0);
         let fra = FraOptimizer::new(base.clone()).run(field()).unwrap();
         let hybrid = HybridOptimizer::new(base).run(field()).unwrap();
         assert_eq!(fra.optimizer, "fra");
@@ -64,12 +50,12 @@ fn hybrid_with_zero_polish_is_bit_identical_to_pure_fra() {
         assert_eq!(
             (fra.refined, fra.relays),
             (hybrid.refined, hybrid.relays),
-            "k={k} {kernel:?} cached={cached}: placement provenance diverged"
+            "k={k}: placement provenance diverged"
         );
         assert_eq!(
             position_bits(&fra.sim.positions()),
             position_bits(&hybrid.sim.positions()),
-            "k={k} {kernel:?} cached={cached}: positions diverged"
+            "k={k}: positions diverged"
         );
         assert_eq!(fra.sim.slot(), hybrid.sim.slot());
         assert_eq!(fra.sim.time().to_bits(), hybrid.sim.time().to_bits());
@@ -78,8 +64,8 @@ fn hybrid_with_zero_polish_is_bit_identical_to_pure_fra() {
 
 #[test]
 fn hybrid_without_refinement_is_bit_identical_to_pure_cma() {
-    for (k, kernel, cached) in cases() {
-        let base = builder(k, kernel, cached).minutes(3);
+    for k in FLEET_SIZES {
+        let base = builder(k).minutes(3);
         let cma = CmaOptimizer::new(base.clone()).run(field()).unwrap();
         let hybrid = HybridOptimizer::new(base.fra_refinement(false))
             .run(field())
@@ -92,7 +78,7 @@ fn hybrid_without_refinement_is_bit_identical_to_pure_cma() {
         assert_eq!(
             position_bits(&cma.sim.positions()),
             position_bits(&hybrid.sim.positions()),
-            "k={k} {kernel:?} cached={cached}: positions diverged"
+            "k={k}: positions diverged"
         );
         assert_eq!(cma.sim.slot(), hybrid.sim.slot());
         assert_eq!(cma.sim.time().to_bits(), hybrid.sim.time().to_bits());
@@ -101,7 +87,7 @@ fn hybrid_without_refinement_is_bit_identical_to_pure_cma() {
 
 #[test]
 fn engine_builder_dispatches_the_selected_kind() {
-    let base = builder(9, Kernel::Raster, false).minutes(1);
+    let base = builder(9).minutes(1);
     let cma = base
         .clone()
         .optimizer(OptimizerKind::Cma)

@@ -17,7 +17,7 @@ fn brute_force_best(
     grid: &GridSpec,
 ) -> f64 {
     assert!(k == 3, "the exhaustive search is written for k = 3");
-    let mut evaluator = DeltaEvaluator::new(field, grid, rc);
+    let evaluator = DeltaEvaluator::new(field, grid, rc);
     let mut best = f64::INFINITY;
     let n = candidates.len();
     for a in 0..n {

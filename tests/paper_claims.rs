@@ -37,7 +37,7 @@ fn fra_beats_random_scattering_at_healthy_budgets() {
         .unwrap();
     let grid = GridSpec::new(region(), resolution, resolution).unwrap();
     let fra = FraBuilder::new(k, 10.0).grid(grid).run(&reference).unwrap();
-    let mut evaluator = DeltaEvaluator::new(&reference, &grid, 10.0);
+    let evaluator = DeltaEvaluator::new(&reference, &grid, 10.0);
     let fe = evaluator.evaluate(&fra.positions).unwrap();
     assert!(fe.connected);
 
