@@ -10,11 +10,12 @@ use cps_field::raster::delta_rms_raster;
 use cps_field::{delta, Field, FieldError, Parallelism, PlaneField, ReconstructedSurface};
 use cps_geometry::{GridSpec, Point2};
 use cps_network::UnitDiskGraph;
+use serde::{Deserialize, Serialize};
 
 use crate::CoreError;
 
 /// Quality report for a node deployment against a reference field.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeploymentEvaluation {
     /// The paper's δ: `∬ |f − DT| dA` (Eqn. 2).
     pub delta: f64,

@@ -19,6 +19,7 @@
 
 use cps_geometry::{within, Point2};
 use cps_linalg::Vec2;
+use serde::{Deserialize, Serialize};
 
 use super::curvature::{fit_quadric, fit_quadric_over};
 use super::forces;
@@ -35,7 +36,7 @@ const CURVATURE_FLOOR: f64 = 1e-9;
 const REST_FRACTION: f64 = 0.95;
 
 /// Parameters of a CMA iteration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CmaConfig {
     /// Communication radius `Rc`.
     pub comm_radius: f64,

@@ -12,6 +12,7 @@ use cps_field::{Field, Parallelism};
 use cps_geometry::{coverage_areas, GridSpec, Point2, Rect, Triangulation};
 use cps_linalg::Summary;
 use cps_network::{articulation_points, criticality, network_diameter, UnitDiskGraph};
+use serde::{Deserialize, Serialize};
 
 use crate::{CoreError, DeltaEvaluator, DeploymentEvaluation};
 
@@ -242,26 +243,14 @@ impl SurvivabilityReport {
 /// samples, and message counters from any loop.
 #[derive(Debug, Clone)]
 pub struct SurvivabilityTracker {
-    initial_nodes: usize,
-    last_alive: usize,
-    baseline_delta: Option<f64>,
-    final_delta: Option<f64>,
-    degradation: Vec<(f64, f64)>,
-    partitions: usize,
-    reconnects: usize,
-    reconnect_times: Vec<f64>,
-    partition_open_since: Option<f64>,
-    messages: usize,
-    retried: usize,
-    dropped: usize,
-    critical_nodes: Vec<usize>,
+    state: SurvivabilityState,
 }
 
 /// The complete mutable state of a [`SurvivabilityTracker`], with every
 /// field public — the serializable face of the tracker, used by
 /// checkpoint/restore so an interrupted run's report picks up exactly
 /// where it stopped.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SurvivabilityState {
     /// Fleet size at deployment.
     pub initial_nodes: usize,
@@ -294,7 +283,7 @@ pub struct SurvivabilityState {
 impl SurvivabilityTracker {
     /// A tracker for a fleet of `initial_nodes`.
     pub fn new(initial_nodes: usize) -> Self {
-        SurvivabilityTracker {
+        SurvivabilityTracker::from_state(SurvivabilityState {
             initial_nodes,
             last_alive: initial_nodes,
             baseline_delta: None,
@@ -308,112 +297,86 @@ impl SurvivabilityTracker {
             retried: 0,
             dropped: 0,
             critical_nodes: Vec::new(),
-        }
+        })
     }
 
     /// Feeds one slot: simulation time, survivor count, component count
     /// of the surviving network, and optionally a fresh δ sample.
     pub fn observe_slot(&mut self, time: f64, alive: usize, components: usize, delta: Option<f64>) {
-        self.last_alive = alive;
+        let s = &mut self.state;
+        s.last_alive = alive;
         if components >= 2 {
-            if self.partition_open_since.is_none() {
-                self.partition_open_since = Some(time);
-                self.partitions += 1;
+            if s.partition_open_since.is_none() {
+                s.partition_open_since = Some(time);
+                s.partitions += 1;
             }
         } else if components == 1 {
-            if let Some(since) = self.partition_open_since.take() {
-                self.reconnects += 1;
-                self.reconnect_times.push(time - since);
+            if let Some(since) = s.partition_open_since.take() {
+                s.reconnects += 1;
+                s.reconnect_times.push(time - since);
             }
         }
         if let Some(delta) = delta {
-            if self.baseline_delta.is_none() {
-                self.baseline_delta = Some(delta);
+            if s.baseline_delta.is_none() {
+                s.baseline_delta = Some(delta);
             }
-            self.final_delta = Some(delta);
-            let dead = if self.initial_nodes == 0 {
+            s.final_delta = Some(delta);
+            let dead = if s.initial_nodes == 0 {
                 0.0
             } else {
-                1.0 - alive as f64 / self.initial_nodes as f64
+                1.0 - alive as f64 / s.initial_nodes as f64
             };
-            self.degradation.push((dead, delta));
+            s.degradation.push((dead, delta));
         }
     }
 
     /// Adds one slot's message accounting (attempts, retries, drops).
     pub fn observe_messages(&mut self, messages: usize, retried: usize, dropped: usize) {
-        self.messages += messages;
-        self.retried += retried;
-        self.dropped += dropped;
+        self.state.messages += messages;
+        self.state.retried += retried;
+        self.state.dropped += dropped;
     }
 
     /// Records the articulation points of the final surviving network.
     pub fn set_critical_nodes(&mut self, nodes: Vec<usize>) {
-        self.critical_nodes = nodes;
+        self.state.critical_nodes = nodes;
     }
 
     /// Copies the tracker's full mutable state (for checkpointing).
     pub fn state(&self) -> SurvivabilityState {
-        SurvivabilityState {
-            initial_nodes: self.initial_nodes,
-            last_alive: self.last_alive,
-            baseline_delta: self.baseline_delta,
-            final_delta: self.final_delta,
-            degradation: self.degradation.clone(),
-            partitions: self.partitions,
-            reconnects: self.reconnects,
-            reconnect_times: self.reconnect_times.clone(),
-            partition_open_since: self.partition_open_since,
-            messages: self.messages,
-            retried: self.retried,
-            dropped: self.dropped,
-            critical_nodes: self.critical_nodes.clone(),
-        }
+        self.state.clone()
     }
 
     /// Rebuilds a tracker from a previously captured state; observing
     /// the same remaining slots yields the same report an uninterrupted
     /// tracker would produce.
     pub fn from_state(state: SurvivabilityState) -> Self {
-        SurvivabilityTracker {
-            initial_nodes: state.initial_nodes,
-            last_alive: state.last_alive,
-            baseline_delta: state.baseline_delta,
-            final_delta: state.final_delta,
-            degradation: state.degradation,
-            partitions: state.partitions,
-            reconnects: state.reconnects,
-            reconnect_times: state.reconnect_times,
-            partition_open_since: state.partition_open_since,
-            messages: state.messages,
-            retried: state.retried,
-            dropped: state.dropped,
-            critical_nodes: state.critical_nodes,
-        }
+        SurvivabilityTracker { state }
     }
 
     /// Finalizes the report.
     pub fn finish(self) -> SurvivabilityReport {
-        let fraction_dead = if self.initial_nodes == 0 {
+        let s = self.state;
+        let fraction_dead = if s.initial_nodes == 0 {
             0.0
         } else {
-            1.0 - self.last_alive as f64 / self.initial_nodes as f64
+            1.0 - s.last_alive as f64 / s.initial_nodes as f64
         };
         SurvivabilityReport {
-            initial_nodes: self.initial_nodes,
-            surviving_nodes: self.last_alive,
+            initial_nodes: s.initial_nodes,
+            surviving_nodes: s.last_alive,
             fraction_dead,
-            baseline_delta: self.baseline_delta,
-            final_delta: self.final_delta,
-            degradation: self.degradation,
-            partitions: self.partitions,
-            reconnects: self.reconnects,
-            reconnect_times: self.reconnect_times,
-            unresolved_partition: self.partition_open_since.is_some(),
-            messages: self.messages,
-            retried: self.retried,
-            dropped: self.dropped,
-            critical_nodes: self.critical_nodes,
+            baseline_delta: s.baseline_delta,
+            final_delta: s.final_delta,
+            degradation: s.degradation,
+            partitions: s.partitions,
+            reconnects: s.reconnects,
+            reconnect_times: s.reconnect_times,
+            unresolved_partition: s.partition_open_since.is_some(),
+            messages: s.messages,
+            retried: s.retried,
+            dropped: s.dropped,
+            critical_nodes: s.critical_nodes,
         }
     }
 }

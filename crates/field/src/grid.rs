@@ -22,7 +22,6 @@ use crate::{Field, FieldError};
 /// assert!((f.value(Point2::new(2.5, 3.5)) - 8.75).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridField {
     spec: GridSpec,
     /// Row-major (`j`-major) samples, `values[j * nx + i]`.

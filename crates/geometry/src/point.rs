@@ -19,7 +19,6 @@ use cps_linalg::Vec2;
 /// assert_eq!(mid, Point2::new(1.5, 2.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point2 {
     /// X coordinate.
     pub x: f64,

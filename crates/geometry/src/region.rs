@@ -16,7 +16,6 @@ use crate::{GeometryError, Point2};
 /// assert!(!region.contains(Point2::new(101.0, 0.0)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     min: Point2,
     max: Point2,
@@ -150,7 +149,6 @@ impl Rect {
 /// assert!((grid.cell_area() - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridSpec {
     rect: Rect,
     nx: usize,

@@ -23,7 +23,6 @@ use crate::Point2;
 /// assert!((z - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Triangle {
     /// First corner.
     pub a: Point2,

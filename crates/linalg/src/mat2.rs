@@ -17,7 +17,6 @@ use crate::Vec2;
 /// assert_eq!(h.det(), 6.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SymMat2 {
     /// Top-left entry.
     pub a: f64,

@@ -23,7 +23,6 @@ use crate::LinalgError;
 /// assert_eq!(c[(0, 0)], 5.0); // 1*1 + 2*2
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DMatrix {
     rows: usize,
     cols: usize,

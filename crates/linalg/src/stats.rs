@@ -50,7 +50,6 @@ pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
 /// assert_eq!(s.mean, 2.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

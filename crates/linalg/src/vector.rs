@@ -21,7 +21,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(force.normalized().norm(), 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec2 {
     /// Component along the X axis.
     pub x: f64,
@@ -209,7 +208,6 @@ impl fmt::Display for Vec2 {
 /// assert_eq!(a.cross(b), Vec3::new(0.0, 0.0, 1.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec3 {
     /// Component along the X axis.
     pub x: f64,

@@ -24,6 +24,14 @@
 //! that still record the since-removed δ kernel and tile-cache
 //! settings load and resume bit-identically.
 //!
+//! # Codec
+//!
+//! The JSON shape of every persisted type is its own
+//! `#[derive(Serialize, Deserialize)]` declaration. Where the JSON
+//! differs from the struct layout, a field `with` module in this file
+//! says how (`rect` and the modules after it). `seal` and `open` are
+//! the one envelope for snapshots and sweep manifests.
+//!
 //! # On-disk format
 //!
 //! One header line, then a JSON payload:
@@ -44,7 +52,6 @@
 //! [`CoreError::SnapshotCorrupt`]; [`CheckpointDir::latest_valid`]
 //! then falls back to the newest snapshot that still verifies.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -54,9 +61,10 @@ use cps_core::{
     CoreError, DeploymentEvaluation, EvalOptions, SurvivabilityState, SurvivabilityTracker,
 };
 use cps_geometry::{Point2, Rect};
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
+use serde_json::{Error, Value};
 
-use crate::fault::{DeathCause, FaultEvent, FaultPlan, RecoveryPolicy};
+use crate::fault::{BatteryModel, FaultEvent, FaultPlan, FaultState, RecoveryPolicy};
 use crate::{DeltaTimeline, MobileNode};
 
 /// Newest snapshot format version this build reads and writes.
@@ -68,36 +76,12 @@ const MAGIC: &str = "CPSSNAP";
 /// File extension used by [`CheckpointDir`].
 const EXTENSION: &str = "cpsnap";
 
-/// Checkpointed fault-injection state: the plan plus everything the
-/// runtime accumulated up to the snapshot slot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultState {
-    /// The installed schedule (restored through the validating builder).
-    pub plan: FaultPlan,
-    /// Slot cursor — the SplitMix64 stream of every future slot is
-    /// derived from `(plan seed, slot)`, so this one integer carries
-    /// the whole RNG state.
-    pub slot: u64,
-    /// Remaining per-node energy (empty without a battery model).
-    pub energy: Vec<f64>,
-    /// Per-node stuck-sensor state: `(frozen_time, expiry_slot)`.
-    pub stuck: Vec<Option<(f64, u64)>>,
-    /// Everything recorded so far (deaths, partitions, reconnects).
-    pub events: Vec<FaultEvent>,
-    /// Slot the currently-open partition started at, if any.
-    pub partition_since: Option<u64>,
-    /// Total deaths so far.
-    pub deaths_total: usize,
-    /// Total retried deliveries so far.
-    pub retried_total: usize,
-    /// Total dropped directed link-slots so far.
-    pub dropped_total: usize,
-}
-
-/// Checkpointed [`DeltaTimeline`] records (samples + synced events).
-#[derive(Debug, Clone, PartialEq)]
+/// [`DeltaTimeline`] records (samples + synced events), as a checkpoint
+/// stores them.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TimelineState {
     /// The `(time, evaluation)` samples recorded so far.
+    #[serde(with = "samples")]
     pub samples: Vec<(f64, DeploymentEvaluation)>,
     /// Fault events copied into the timeline so far.
     pub events: Vec<FaultEvent>,
@@ -114,7 +98,7 @@ pub struct TimelineState {
 /// bit-identity holds when it is the same field. The free-form
 /// [`label`](SimSnapshot::label) exists so applications can record how
 /// to rebuild theirs (the CLI stores the forest seed there).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimSnapshot {
     /// Free-form application tag (e.g. how to rebuild the field).
     pub label: String,
@@ -137,6 +121,7 @@ pub struct SimSnapshot {
     /// The CMA parameters in effect, including any mid-run overrides.
     pub cma: CmaConfig,
     /// Region of interest.
+    #[serde(with = "rect")]
     pub region: Rect,
     /// The gossiped curvature normalization reference.
     pub curvature_scale: f64,
@@ -145,8 +130,10 @@ pub struct SimSnapshot {
     /// existed decode as the standard sequence; restore rejects
     /// anything else, because resuming a run under a different stage
     /// order could not be bit-identical to the uninterrupted one.
+    #[serde(default = "standard_pipeline")]
     pub pipeline: Vec<String>,
     /// The full fleet, dead nodes included.
+    #[serde(with = "nodes")]
     pub nodes: Vec<MobileNode>,
     /// Fault-runtime state (None for pristine runs).
     pub fault: Option<FaultState>,
@@ -156,23 +143,28 @@ pub struct SimSnapshot {
     pub survivability: Option<SurvivabilityState>,
 }
 
+/// The standard stage sequence, which snapshots written before the
+/// stage pipeline existed also ran.
+pub(crate) fn standard_pipeline() -> Vec<String> {
+    crate::stage::STANDARD_STAGES
+        .iter()
+        .map(|s| s.to_string())
+        .collect()
+}
+
 impl SimSnapshot {
     /// Attaches the timeline's records so a resumed run continues the
     /// same δ(t) series.
     pub fn attach_timeline(&mut self, timeline: &DeltaTimeline) {
-        self.timeline = Some(TimelineState {
-            samples: timeline.samples().to_vec(),
-            events: timeline.events().to_vec(),
-            events_synced: timeline.events_synced(),
-        });
+        self.timeline = Some(timeline.state().clone());
     }
 
     /// Rebuilds the attached timeline (None when none was attached),
     /// recording with `opts` from here on.
     pub fn timeline(&self, opts: EvalOptions) -> Option<DeltaTimeline> {
-        self.timeline.as_ref().map(|t| {
-            DeltaTimeline::from_state(opts, t.samples.clone(), t.events.clone(), t.events_synced)
-        })
+        self.timeline
+            .clone()
+            .map(|t| DeltaTimeline::from_state(opts, t))
     }
 
     /// Attaches the survivability tracker's state.
@@ -200,15 +192,7 @@ impl SimSnapshot {
     /// [`CoreError::SnapshotCorrupt`] when the state contains a
     /// non-finite float (JSON cannot carry it losslessly).
     pub fn to_bytes(&self) -> Result<Vec<u8>, CoreError> {
-        let payload = serde_json::to_string(&self.encode()?).map_err(|e| corrupt(e.to_string()))?;
-        let mut out = format!(
-            "{MAGIC} {SNAPSHOT_VERSION} {:016x} {}\n",
-            fnv1a64(payload.as_bytes()),
-            payload.len()
-        )
-        .into_bytes();
-        out.extend_from_slice(payload.as_bytes());
-        Ok(out)
+        seal(MAGIC, SNAPSHOT_VERSION, self)
     }
 
     /// Parses and verifies the byte format.
@@ -219,59 +203,7 @@ impl SimSnapshot {
     /// mismatch, or a malformed payload;
     /// [`CoreError::SnapshotVersion`] for an unsupported version.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let newline = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| corrupt("missing header line".to_string()))?;
-        let header = std::str::from_utf8(&bytes[..newline])
-            .map_err(|_| corrupt("header is not UTF-8".to_string()))?;
-        let mut parts = header.split_ascii_whitespace();
-        if parts.next() != Some(MAGIC) {
-            return Err(corrupt(format!("bad magic (expected {MAGIC})")));
-        }
-        let version: u32 = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| corrupt("unreadable version".to_string()))?;
-        if version != SNAPSHOT_VERSION {
-            return Err(CoreError::SnapshotVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let checksum = parts
-            .next()
-            // Canonical form only — 16 lowercase hex digits — so no two
-            // distinct headers verify the same payload.
-            .filter(|v| {
-                v.len() == 16
-                    && v.bytes()
-                        .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-            })
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
-            .ok_or_else(|| corrupt("unreadable checksum".to_string()))?;
-        let length: usize = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| corrupt("unreadable payload length".to_string()))?;
-        let payload = &bytes[newline + 1..];
-        if payload.len() != length {
-            return Err(corrupt(format!(
-                "truncated payload ({} of {length} bytes)",
-                payload.len()
-            )));
-        }
-        let actual = fnv1a64(payload);
-        if actual != checksum {
-            return Err(corrupt(format!(
-                "checksum mismatch (header {checksum:016x}, payload {actual:016x})"
-            )));
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| corrupt("payload is not UTF-8".to_string()))?;
-        let value: Value =
-            serde_json::from_str(text).map_err(|e| corrupt(format!("payload is not JSON: {e}")))?;
-        Self::decode(&value)
+        from_json(open(MAGIC, SNAPSHOT_VERSION, bytes)?)
     }
 
     /// Writes the snapshot to `path` atomically: temp file in the same
@@ -297,160 +229,7 @@ impl SimSnapshot {
     /// verification failures.
     pub fn load(path: &Path) -> Result<Self, CoreError> {
         let bytes = fs::read(path).map_err(|e| snapshot_io(path, &e))?;
-        Self::from_bytes(&bytes).map_err(|e| match e {
-            CoreError::SnapshotCorrupt { reason, .. } => CoreError::SnapshotCorrupt {
-                path: path.display().to_string(),
-                reason,
-            },
-            other => other,
-        })
-    }
-
-    // ---- encoding -------------------------------------------------
-
-    fn encode(&self) -> Result<Value, CoreError> {
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| {
-                Ok(obj([
-                    ("id", int(n.id as u64)?),
-                    ("x", num("node x", n.position.x)?),
-                    ("y", num("node y", n.position.y)?),
-                    ("curvature", num("node curvature", n.curvature)?),
-                    ("traveled", num("node traveled", n.traveled)?),
-                    ("alive", Value::Bool(n.alive)),
-                ]))
-            })
-            .collect::<Result<Vec<Value>, CoreError>>()?;
-        let fault = match &self.fault {
-            Some(f) => encode_fault(f)?,
-            None => Value::Null,
-        };
-        let timeline = match &self.timeline {
-            Some(t) => encode_timeline(t)?,
-            None => Value::Null,
-        };
-        let survivability = match &self.survivability {
-            Some(s) => encode_survivability(s)?,
-            None => Value::Null,
-        };
-        Ok(obj([
-            ("label", Value::String(self.label.clone())),
-            ("slot", int(self.slot)?),
-            ("time", num("time", self.time)?),
-            ("time_step", num("time_step", self.time_step)?),
-            ("sense_spacing", num("sense_spacing", self.sense_spacing)?),
-            ("comm_radius", num("comm_radius", self.comm_radius)?),
-            (
-                "sensing_radius",
-                num("sensing_radius", self.sensing_radius)?,
-            ),
-            ("max_speed", num("max_speed", self.max_speed)?),
-            ("beta", num("beta", self.beta)?),
-            ("cma", encode_cma(&self.cma)?),
-            (
-                "region",
-                obj([
-                    ("min_x", num("region min_x", self.region.min().x)?),
-                    ("min_y", num("region min_y", self.region.min().y)?),
-                    ("max_x", num("region max_x", self.region.max().x)?),
-                    ("max_y", num("region max_y", self.region.max().y)?),
-                ]),
-            ),
-            (
-                "curvature_scale",
-                num("curvature_scale", self.curvature_scale)?,
-            ),
-            (
-                "pipeline",
-                Value::Array(
-                    self.pipeline
-                        .iter()
-                        .map(|s| Value::String(s.clone()))
-                        .collect(),
-                ),
-            ),
-            ("nodes", Value::Array(nodes)),
-            ("fault", fault),
-            ("timeline", timeline),
-            ("survivability", survivability),
-        ]))
-    }
-
-    // ---- decoding -------------------------------------------------
-
-    fn decode(value: &Value) -> Result<Self, CoreError> {
-        let region = {
-            let r = get(value, "region")?;
-            Rect::new(
-                Point2::new(dec_f64(r, "min_x")?, dec_f64(r, "min_y")?),
-                Point2::new(dec_f64(r, "max_x")?, dec_f64(r, "max_y")?),
-            )
-            .map_err(|e| corrupt(format!("region: {e}")))?
-        };
-        let nodes = get(value, "nodes")?
-            .as_array()
-            .ok_or_else(|| corrupt("nodes must be an array".to_string()))?
-            .iter()
-            .map(|n| {
-                Ok(MobileNode {
-                    id: dec_u64(n, "id")? as usize,
-                    position: Point2::new(dec_f64(n, "x")?, dec_f64(n, "y")?),
-                    curvature: dec_f64(n, "curvature")?,
-                    traveled: dec_f64(n, "traveled")?,
-                    alive: dec_bool(n, "alive")?,
-                })
-            })
-            .collect::<Result<Vec<MobileNode>, CoreError>>()?;
-        let fault = match get(value, "fault")? {
-            Value::Null => None,
-            f => Some(decode_fault(f)?),
-        };
-        let timeline = match get(value, "timeline")? {
-            Value::Null => None,
-            t => Some(decode_timeline(t)?),
-        };
-        let survivability = match get(value, "survivability")? {
-            Value::Null => None,
-            s => Some(decode_survivability(s)?),
-        };
-        // Lenient: snapshots written before the stage pipeline existed
-        // ran the standard sequence.
-        let pipeline = match value.get("pipeline") {
-            None | Some(Value::Null) => crate::stage::STANDARD_STAGES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            Some(Value::Array(stages)) => stages
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| corrupt("pipeline stage names must be strings".to_string()))
-                })
-                .collect::<Result<Vec<String>, CoreError>>()?,
-            Some(_) => return Err(corrupt("pipeline must be an array".to_string())),
-        };
-        Ok(SimSnapshot {
-            label: dec_str(value, "label")?,
-            slot: dec_u64(value, "slot")?,
-            time: dec_f64(value, "time")?,
-            time_step: dec_f64(value, "time_step")?,
-            sense_spacing: dec_f64(value, "sense_spacing")?,
-            comm_radius: dec_f64(value, "comm_radius")?,
-            sensing_radius: dec_f64(value, "sensing_radius")?,
-            max_speed: dec_f64(value, "max_speed")?,
-            beta: dec_f64(value, "beta")?,
-            cma: decode_cma(get(value, "cma")?)?,
-            region,
-            curvature_scale: dec_f64(value, "curvature_scale")?,
-            pipeline,
-            nodes,
-            fault,
-            timeline,
-            survivability,
-        })
+        Self::from_bytes(&bytes).map_err(|e| at_path(e, path))
     }
 }
 
@@ -612,9 +391,126 @@ impl CheckpointDir {
     }
 }
 
-// ---- shared helpers ---------------------------------------------------
-// (pub(crate): the sweep manifest reuses the same header format,
-// checksum, atomic-write path, and JSON codec discipline.)
+// ---- the envelope -----------------------------------------------------
+// (pub(crate): the sweep manifest and spec use the same header format,
+// checksum, atomic-write path, and finite-number rule.)
+
+/// Serializes `value` to compact JSON, rejecting any non-finite number
+/// (JSON would silently turn it into `null`) by its key path.
+pub(crate) fn to_json<T: Serialize>(value: &T) -> Result<String, CoreError> {
+    let tree = value.serialize().map_err(|e| corrupt(e.to_string()))?;
+    if let Some((path, x)) = non_finite(&tree) {
+        return Err(corrupt(format!(
+            "{} is not finite ({x})",
+            path.trim_start_matches('.')
+        )));
+    }
+    serde_json::to_string(&tree).map_err(|e| corrupt(e.to_string()))
+}
+
+/// Parses a JSON payload into `T`, naming the failure as corruption.
+pub(crate) fn from_json<T: Deserialize>(text: &str) -> Result<T, CoreError> {
+    serde_json::from_str(text).map_err(|e| corrupt(format!("payload: {e}")))
+}
+
+/// The key path (`.fault.energy[1]`) and value of the first non-finite
+/// number in `v`, if any. The path is only built on the way out of a
+/// hit, so a clean tree costs one allocation-free walk.
+fn non_finite(v: &Value) -> Option<(String, f64)> {
+    match v {
+        Value::Number(x) if !x.is_finite() => Some((String::new(), *x)),
+        Value::Array(items) => items
+            .iter()
+            .enumerate()
+            .find_map(|(i, item)| non_finite(item).map(|(path, x)| (format!("[{i}]{path}"), x))),
+        Value::Object(map) => map
+            .iter()
+            .find_map(|(key, item)| non_finite(item).map(|(path, x)| (format!(".{key}{path}"), x))),
+        _ => None,
+    }
+}
+
+/// Frames `payload` as `<magic> <version> <fnv1a64, 16 hex> <length>\n`
+/// followed by its JSON.
+///
+/// # Errors
+///
+/// [`CoreError::SnapshotCorrupt`] when `payload` holds a non-finite
+/// number or an integer beyond 2^53.
+pub(crate) fn seal<T: Serialize>(
+    magic: &str,
+    version: u32,
+    payload: &T,
+) -> Result<Vec<u8>, CoreError> {
+    let payload = to_json(payload)?;
+    let mut out = format!(
+        "{magic} {version} {:016x} {}\n",
+        fnv1a64(payload.as_bytes()),
+        payload.len()
+    )
+    .into_bytes();
+    out.extend_from_slice(payload.as_bytes());
+    Ok(out)
+}
+
+/// Verifies a [`seal`]ed file and returns its JSON payload.
+///
+/// # Errors
+///
+/// [`CoreError::SnapshotCorrupt`] on bad magic, an unreadable header,
+/// a length or checksum mismatch, or a non-UTF-8 payload;
+/// [`CoreError::SnapshotVersion`] for a version other than `version`.
+pub(crate) fn open<'a>(magic: &str, version: u32, bytes: &'a [u8]) -> Result<&'a str, CoreError> {
+    let newline = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| corrupt("missing header line".to_string()))?;
+    let header = std::str::from_utf8(&bytes[..newline])
+        .map_err(|_| corrupt("header is not UTF-8".to_string()))?;
+    let mut parts = header.split_ascii_whitespace();
+    if parts.next() != Some(magic) {
+        return Err(corrupt(format!("bad magic (expected {magic})")));
+    }
+    let found: u32 = parts
+        .next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| corrupt("unreadable version".to_string()))?;
+    if found != version {
+        return Err(CoreError::SnapshotVersion {
+            found,
+            supported: version,
+        });
+    }
+    let checksum = parts
+        .next()
+        // Canonical form only — 16 lowercase hex digits — so no two
+        // distinct headers verify the same payload.
+        .filter(|v| {
+            v.len() == 16
+                && v.bytes()
+                    .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+        })
+        .and_then(|v| u64::from_str_radix(v, 16).ok())
+        .ok_or_else(|| corrupt("unreadable checksum".to_string()))?;
+    let length: usize = parts
+        .next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| corrupt("unreadable payload length".to_string()))?;
+    let payload = &bytes[newline + 1..];
+    if payload.len() != length {
+        return Err(corrupt(format!(
+            "truncated payload ({} of {length} bytes)",
+            payload.len()
+        )));
+    }
+    let actual = fnv1a64(payload);
+    if actual != checksum {
+        return Err(corrupt(format!(
+            "checksum mismatch (header {checksum:016x}, payload {actual:016x})"
+        )));
+    }
+    std::str::from_utf8(payload).map_err(|_| corrupt("payload is not UTF-8".to_string()))
+}
 
 /// Writes `bytes` to `path` atomically: temp file in the same
 /// directory, fsync, rename, best-effort directory fsync. A crash at
@@ -663,6 +559,18 @@ pub(crate) fn corrupt(reason: String) -> CoreError {
     }
 }
 
+/// Fills `path` into a [`CoreError::SnapshotCorrupt`] raised while
+/// decoding that file's bytes.
+pub(crate) fn at_path(e: CoreError, path: &Path) -> CoreError {
+    match e {
+        CoreError::SnapshotCorrupt { reason, .. } => CoreError::SnapshotCorrupt {
+            path: path.display().to_string(),
+            reason,
+        },
+        other => other,
+    }
+}
+
 pub(crate) fn snapshot_io(path: &Path, e: &std::io::Error) -> CoreError {
     CoreError::SnapshotIo {
         path: path.display().to_string(),
@@ -670,575 +578,232 @@ pub(crate) fn snapshot_io(path: &Path, e: &std::io::Error) -> CoreError {
     }
 }
 
-pub(crate) fn obj<const N: usize>(entries: [(&str, Value); N]) -> Value {
-    Value::Object(
-        entries
+/// Serializes each item through the record `f` builds from it.
+fn records<T, R: Serialize>(items: &[T], f: impl Fn(&T) -> R) -> Result<Value, Error> {
+    items
+        .iter()
+        .map(|x| f(x).serialize())
+        .collect::<Result<_, _>>()
+        .map(Value::Array)
+}
+
+// ---- shape exceptions: `with` modules ---------------------------------
+
+/// A [`Rect`] as `{min_x, min_y, max_x, max_y}`, rebuilt through
+/// [`Rect::new`] so a decoded region is validated again.
+pub(crate) mod rect {
+    use super::*;
+
+    #[derive(Serialize, Deserialize)]
+    #[serde(deny_unknown_fields, expecting = "region")]
+    struct Corners {
+        min_x: f64,
+        min_y: f64,
+        max_x: f64,
+        max_y: f64,
+    }
+
+    pub(crate) fn serialize(r: &Rect) -> Result<Value, Error> {
+        let (min, max) = (r.min(), r.max());
+        Corners {
+            min_x: min.x,
+            min_y: min.y,
+            max_x: max.x,
+            max_y: max.y,
+        }
+        .serialize()
+    }
+
+    pub(crate) fn deserialize(v: &Value) -> Result<Rect, Error> {
+        let c = Corners::deserialize(v)?;
+        Rect::new(Point2::new(c.min_x, c.min_y), Point2::new(c.max_x, c.max_y))
+            .map_err(|e| Error::custom(e.to_string()))
+    }
+}
+
+/// Nodes with their position flattened into `x`/`y`.
+mod nodes {
+    use super::*;
+
+    #[derive(Serialize, Deserialize)]
+    struct Node {
+        id: usize,
+        x: f64,
+        y: f64,
+        curvature: f64,
+        traveled: f64,
+        alive: bool,
+    }
+
+    pub(super) fn serialize(nodes: &[MobileNode]) -> Result<Value, Error> {
+        records(nodes, |n| Node {
+            id: n.id,
+            x: n.position.x,
+            y: n.position.y,
+            curvature: n.curvature,
+            traveled: n.traveled,
+            alive: n.alive,
+        })
+    }
+
+    pub(super) fn deserialize(v: &Value) -> Result<Vec<MobileNode>, Error> {
+        let nodes = Vec::<Node>::deserialize(v)?
             .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<String, Value>>(),
-    )
-}
-
-/// Encodes a float, rejecting non-finite values (JSON would silently
-/// turn them into `null`).
-pub(crate) fn num(what: &str, x: f64) -> Result<Value, CoreError> {
-    if x.is_finite() {
-        Ok(Value::Number(x))
-    } else {
-        Err(corrupt(format!("{what} is not finite ({x})")))
+            .map(|n| MobileNode {
+                id: n.id,
+                position: Point2::new(n.x, n.y),
+                curvature: n.curvature,
+                traveled: n.traveled,
+                alive: n.alive,
+            });
+        Ok(nodes.collect())
     }
 }
 
-/// Encodes an unsigned integer; JSON numbers are `f64`, exact only up
-/// to 2^53 (slot counts and ids are far below; the plan *seed* is a
-/// full-width `u64` and travels as a string instead).
-pub(crate) fn int(x: u64) -> Result<Value, CoreError> {
-    const MAX_EXACT: u64 = 1 << 53;
-    if x <= MAX_EXACT {
-        Ok(Value::Number(x as f64))
-    } else {
-        Err(corrupt(format!("integer {x} exceeds JSON's exact range")))
+/// The plan as its builder's inputs, with the full-width seed as a
+/// decimal string (a JSON number is exact only up to 2^53). A decoded
+/// plan is rebuilt through
+/// [`FaultPlanBuilder::build`](crate::FaultPlanBuilder::build), so it
+/// passes validation again.
+pub(crate) mod plan {
+    use super::*;
+
+    #[derive(Serialize, Deserialize)]
+    struct Plan {
+        seed: String,
+        kills: Vec<(u64, usize)>,
+        culls: Vec<(u64, f64)>,
+        death_rate: f64,
+        battery: Option<BatteryModel>,
+        dropout_rate: f64,
+        outlier_rate: f64,
+        outlier_magnitude: f64,
+        stuck_rate: f64,
+        stuck_slots: u64,
+        link_loss: f64,
+        link_retries: u32,
+        recovery: RecoveryPolicy,
     }
-}
 
-pub(crate) fn get<'a>(value: &'a Value, key: &str) -> Result<&'a Value, CoreError> {
-    value
-        .get(key)
-        .ok_or_else(|| corrupt(format!("missing field {key}")))
-}
-
-pub(crate) fn dec_f64(value: &Value, key: &str) -> Result<f64, CoreError> {
-    get(value, key)?
-        .as_f64()
-        .filter(|x| x.is_finite())
-        .ok_or_else(|| corrupt(format!("field {key} must be a finite number")))
-}
-
-pub(crate) fn dec_u64(value: &Value, key: &str) -> Result<u64, CoreError> {
-    get(value, key)?
-        .as_u64()
-        .ok_or_else(|| corrupt(format!("field {key} must be an unsigned integer")))
-}
-
-pub(crate) fn dec_bool(value: &Value, key: &str) -> Result<bool, CoreError> {
-    get(value, key)?
-        .as_bool()
-        .ok_or_else(|| corrupt(format!("field {key} must be a boolean")))
-}
-
-pub(crate) fn dec_str(value: &Value, key: &str) -> Result<String, CoreError> {
-    Ok(get(value, key)?
-        .as_str()
-        .ok_or_else(|| corrupt(format!("field {key} must be a string")))?
-        .to_string())
-}
-
-fn dec_opt_u64(value: &Value, key: &str) -> Result<Option<u64>, CoreError> {
-    match get(value, key)? {
-        Value::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| corrupt(format!("field {key} must be null or an unsigned integer"))),
+    pub(crate) fn serialize(p: &FaultPlan) -> Result<Value, Error> {
+        Plan {
+            seed: p.seed.to_string(),
+            kills: p.kills.clone(),
+            culls: p.culls.clone(),
+            death_rate: p.death_rate,
+            battery: p.battery,
+            dropout_rate: p.dropout_rate,
+            outlier_rate: p.outlier_rate,
+            outlier_magnitude: p.outlier_magnitude,
+            stuck_rate: p.stuck_rate,
+            stuck_slots: p.stuck_slots,
+            link_loss: p.link_loss,
+            link_retries: p.link_retries,
+            recovery: p.recovery,
+        }
+        .serialize()
     }
-}
 
-fn dec_opt_f64(value: &Value, key: &str) -> Result<Option<f64>, CoreError> {
-    match get(value, key)? {
-        Value::Null => Ok(None),
-        v => v
-            .as_f64()
-            .filter(|x| x.is_finite())
-            .map(Some)
-            .ok_or_else(|| corrupt(format!("field {key} must be null or a finite number"))),
-    }
-}
-
-// ---- CMA config -------------------------------------------------------
-
-fn encode_cma(cma: &CmaConfig) -> Result<Value, CoreError> {
-    Ok(obj([
-        ("comm_radius", num("cma comm_radius", cma.comm_radius)?),
-        (
-            "sensing_radius",
-            num("cma sensing_radius", cma.sensing_radius)?,
-        ),
-        ("beta", num("cma beta", cma.beta)?),
-        ("curvature_gain", num("curvature_gain", cma.curvature_gain)?),
-        ("peak_gain", num("peak_gain", cma.peak_gain)?),
-        (
-            "curvature_scale",
-            num("cma curvature_scale", cma.curvature_scale)?,
-        ),
-        (
-            "weight_exponent",
-            num("weight_exponent", cma.weight_exponent)?,
-        ),
-        ("weight_floor", num("weight_floor", cma.weight_floor)?),
-        ("stop_threshold", num("stop_threshold", cma.stop_threshold)?),
-    ]))
-}
-
-fn decode_cma(value: &Value) -> Result<CmaConfig, CoreError> {
-    Ok(CmaConfig {
-        comm_radius: dec_f64(value, "comm_radius")?,
-        sensing_radius: dec_f64(value, "sensing_radius")?,
-        beta: dec_f64(value, "beta")?,
-        curvature_gain: dec_f64(value, "curvature_gain")?,
-        peak_gain: dec_f64(value, "peak_gain")?,
-        curvature_scale: dec_f64(value, "curvature_scale")?,
-        weight_exponent: dec_f64(value, "weight_exponent")?,
-        weight_floor: dec_f64(value, "weight_floor")?,
-        stop_threshold: dec_f64(value, "stop_threshold")?,
-    })
-}
-
-// ---- fault state ------------------------------------------------------
-
-fn encode_fault(f: &FaultState) -> Result<Value, CoreError> {
-    let plan = &f.plan;
-    let kills = plan
-        .kills
-        .iter()
-        .map(|&(slot, node)| Ok(Value::Array(vec![int(slot)?, int(node as u64)?])))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let culls = plan
-        .culls
-        .iter()
-        .map(|&(slot, frac)| Ok(Value::Array(vec![int(slot)?, num("cull fraction", frac)?])))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let battery = match plan.battery {
-        Some(b) => obj([
-            ("capacity", num("battery capacity", b.capacity)?),
-            ("idle_drain", num("battery idle_drain", b.idle_drain)?),
-            ("move_drain", num("battery move_drain", b.move_drain)?),
-        ]),
-        None => Value::Null,
-    };
-    let recovery = match plan.recovery {
-        RecoveryPolicy::Auto => "auto",
-        RecoveryPolicy::On => "on",
-        RecoveryPolicy::Off => "off",
-    };
-    let energy = f
-        .energy
-        .iter()
-        .map(|&e| num("battery energy", e))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let stuck = f
-        .stuck
-        .iter()
-        .map(|s| match s {
-            Some((frozen_time, until)) => Ok(obj([
-                ("frozen_time", num("stuck frozen_time", *frozen_time)?),
-                ("until", int(*until)?),
-            ])),
-            None => Ok(Value::Null),
-        })
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let events = f
-        .events
-        .iter()
-        .map(encode_event)
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    Ok(obj([
-        (
-            "plan",
-            obj([
-                // Full-width u64: JSON numbers are f64, so the seed
-                // travels as a decimal string.
-                ("seed", Value::String(plan.seed.to_string())),
-                ("kills", Value::Array(kills)),
-                ("culls", Value::Array(culls)),
-                ("death_rate", num("death_rate", plan.death_rate)?),
-                ("battery", battery),
-                ("dropout_rate", num("dropout_rate", plan.dropout_rate)?),
-                ("outlier_rate", num("outlier_rate", plan.outlier_rate)?),
-                (
-                    "outlier_magnitude",
-                    num("outlier_magnitude", plan.outlier_magnitude)?,
-                ),
-                ("stuck_rate", num("stuck_rate", plan.stuck_rate)?),
-                ("stuck_slots", int(plan.stuck_slots)?),
-                ("link_loss", num("link_loss", plan.link_loss)?),
-                ("link_retries", int(u64::from(plan.link_retries))?),
-                ("recovery", Value::String(recovery.to_string())),
-            ]),
-        ),
-        ("slot", int(f.slot)?),
-        ("energy", Value::Array(energy)),
-        ("stuck", Value::Array(stuck)),
-        ("events", Value::Array(events)),
-        (
-            "partition_since",
-            match f.partition_since {
-                Some(s) => int(s)?,
-                None => Value::Null,
-            },
-        ),
-        ("deaths_total", int(f.deaths_total as u64)?),
-        ("retried_total", int(f.retried_total as u64)?),
-        ("dropped_total", int(f.dropped_total as u64)?),
-    ]))
-}
-
-fn decode_fault(value: &Value) -> Result<FaultState, CoreError> {
-    let p = get(value, "plan")?;
-    let mut builder = FaultPlan::builder().seed(
-        get(p, "seed")?
-            .as_str()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| corrupt("plan seed must be a u64 string".to_string()))?,
-    );
-    for kill in get(p, "kills")?
-        .as_array()
-        .ok_or_else(|| corrupt("plan kills must be an array".to_string()))?
-    {
-        let pair = kill
-            .as_array()
-            .filter(|a| a.len() == 2)
-            .ok_or_else(|| corrupt("plan kill must be [slot, node]".to_string()))?;
-        let slot = pair[0]
-            .as_u64()
-            .ok_or_else(|| corrupt("kill slot must be an integer".to_string()))?;
-        let node = pair[1]
-            .as_u64()
-            .ok_or_else(|| corrupt("kill node must be an integer".to_string()))?;
-        builder = builder.kill(node as usize, slot);
-    }
-    for cull in get(p, "culls")?
-        .as_array()
-        .ok_or_else(|| corrupt("plan culls must be an array".to_string()))?
-    {
-        let pair = cull
-            .as_array()
-            .filter(|a| a.len() == 2)
-            .ok_or_else(|| corrupt("plan cull must be [slot, fraction]".to_string()))?;
-        let slot = pair[0]
-            .as_u64()
-            .ok_or_else(|| corrupt("cull slot must be an integer".to_string()))?;
-        let frac = pair[1]
-            .as_f64()
-            .ok_or_else(|| corrupt("cull fraction must be a number".to_string()))?;
-        builder = builder.cull(frac, slot);
-    }
-    builder = builder.death_rate(dec_f64(p, "death_rate")?);
-    if let Some(b) = match get(p, "battery")? {
-        Value::Null => None,
-        b => Some(b),
-    } {
-        builder = builder.battery(
-            dec_f64(b, "capacity")?,
-            dec_f64(b, "idle_drain")?,
-            dec_f64(b, "move_drain")?,
-        );
-    }
-    builder = builder
-        .sensor_dropout(dec_f64(p, "dropout_rate")?)
-        .reading_outlier(
-            dec_f64(p, "outlier_rate")?,
-            dec_f64(p, "outlier_magnitude")?,
-        )
-        .stuck_at(dec_f64(p, "stuck_rate")?, dec_u64(p, "stuck_slots")?)
-        .link_loss(dec_f64(p, "link_loss")?, dec_u64(p, "link_retries")? as u32)
-        .recovery(match dec_str(p, "recovery")?.as_str() {
-            "auto" => RecoveryPolicy::Auto,
-            "on" => RecoveryPolicy::On,
-            "off" => RecoveryPolicy::Off,
-            other => return Err(corrupt(format!("unknown recovery policy {other:?}"))),
-        });
-    let plan = builder
-        .build()
-        .map_err(|e| corrupt(format!("plan fails validation: {e}")))?;
-    let energy = get(value, "energy")?
-        .as_array()
-        .ok_or_else(|| corrupt("fault energy must be an array".to_string()))?
-        .iter()
-        .map(|e| {
-            e.as_f64()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| corrupt("energy entries must be finite numbers".to_string()))
-        })
-        .collect::<Result<Vec<f64>, CoreError>>()?;
-    let stuck = get(value, "stuck")?
-        .as_array()
-        .ok_or_else(|| corrupt("fault stuck must be an array".to_string()))?
-        .iter()
-        .map(|s| match s {
-            Value::Null => Ok(None),
-            s => Ok(Some((dec_f64(s, "frozen_time")?, dec_u64(s, "until")?))),
-        })
-        .collect::<Result<Vec<Option<(f64, u64)>>, CoreError>>()?;
-    let events = decode_events(get(value, "events")?)?;
-    Ok(FaultState {
-        plan,
-        slot: dec_u64(value, "slot")?,
-        energy,
-        stuck,
-        events,
-        partition_since: dec_opt_u64(value, "partition_since")?,
-        deaths_total: dec_u64(value, "deaths_total")? as usize,
-        retried_total: dec_u64(value, "retried_total")? as usize,
-        dropped_total: dec_u64(value, "dropped_total")? as usize,
-    })
-}
-
-// ---- fault events -----------------------------------------------------
-
-fn encode_event(event: &FaultEvent) -> Result<Value, CoreError> {
-    match *event {
-        FaultEvent::Death {
-            slot,
-            time,
-            node,
-            cause,
-        } => Ok(obj([
-            ("kind", Value::String("death".to_string())),
-            ("slot", int(slot)?),
-            ("time", num("event time", time)?),
-            ("node", int(node as u64)?),
-            (
-                "cause",
-                Value::String(
-                    match cause {
-                        DeathCause::Scheduled => "scheduled",
-                        DeathCause::Battery => "battery",
-                        DeathCause::Random => "random",
-                    }
-                    .to_string(),
-                ),
-            ),
-        ])),
-        FaultEvent::Partition {
-            slot,
-            time,
-            components,
-            critical,
-        } => Ok(obj([
-            ("kind", Value::String("partition".to_string())),
-            ("slot", int(slot)?),
-            ("time", num("event time", time)?),
-            ("components", int(components as u64)?),
-            ("critical", int(critical as u64)?),
-        ])),
-        FaultEvent::Reconnected {
-            slot,
-            time,
-            after_slots,
-        } => Ok(obj([
-            ("kind", Value::String("reconnected".to_string())),
-            ("slot", int(slot)?),
-            ("time", num("event time", time)?),
-            ("after_slots", int(after_slots)?),
-        ])),
-    }
-}
-
-fn decode_events(value: &Value) -> Result<Vec<FaultEvent>, CoreError> {
-    value
-        .as_array()
-        .ok_or_else(|| corrupt("events must be an array".to_string()))?
-        .iter()
-        .map(|e| {
-            let slot = dec_u64(e, "slot")?;
-            let time = dec_f64(e, "time")?;
-            match dec_str(e, "kind")?.as_str() {
-                "death" => Ok(FaultEvent::Death {
-                    slot,
-                    time,
-                    node: dec_u64(e, "node")? as usize,
-                    cause: match dec_str(e, "cause")?.as_str() {
-                        "scheduled" => DeathCause::Scheduled,
-                        "battery" => DeathCause::Battery,
-                        "random" => DeathCause::Random,
-                        other => return Err(corrupt(format!("unknown death cause {other:?}"))),
-                    },
-                }),
-                "partition" => Ok(FaultEvent::Partition {
-                    slot,
-                    time,
-                    components: dec_u64(e, "components")? as usize,
-                    critical: dec_u64(e, "critical")? as usize,
-                }),
-                "reconnected" => Ok(FaultEvent::Reconnected {
-                    slot,
-                    time,
-                    after_slots: dec_u64(e, "after_slots")?,
-                }),
-                other => Err(corrupt(format!("unknown event kind {other:?}"))),
-            }
-        })
-        .collect()
-}
-
-// ---- timeline ---------------------------------------------------------
-
-fn encode_timeline(t: &TimelineState) -> Result<Value, CoreError> {
-    let samples = t
-        .samples
-        .iter()
-        .map(|&(time, e)| {
-            Ok(obj([
-                ("time", num("sample time", time)?),
-                ("delta", num("sample delta", e.delta)?),
-                ("rms", num("sample rms", e.rms)?),
-                ("connected", Value::Bool(e.connected)),
-                ("node_count", int(e.node_count as u64)?),
-            ]))
-        })
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let events = t
-        .events
-        .iter()
-        .map(encode_event)
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    Ok(obj([
-        ("samples", Value::Array(samples)),
-        ("events", Value::Array(events)),
-        ("events_synced", int(t.events_synced as u64)?),
-    ]))
-}
-
-fn decode_timeline(value: &Value) -> Result<TimelineState, CoreError> {
-    let samples = get(value, "samples")?
-        .as_array()
-        .ok_or_else(|| corrupt("timeline samples must be an array".to_string()))?
-        .iter()
-        .map(|s| {
-            Ok((
-                dec_f64(s, "time")?,
-                DeploymentEvaluation {
-                    delta: dec_f64(s, "delta")?,
-                    rms: dec_f64(s, "rms")?,
-                    connected: dec_bool(s, "connected")?,
-                    node_count: dec_u64(s, "node_count")? as usize,
-                },
+    pub(crate) fn deserialize(v: &Value) -> Result<FaultPlan, Error> {
+        let p = Plan::deserialize(v)?;
+        let seed = p.seed.parse().map_err(|_| {
+            Error::located(format!(
+                "plan seed {:?} is not a u64 decimal string",
+                p.seed
             ))
-        })
-        .collect::<Result<Vec<(f64, DeploymentEvaluation)>, CoreError>>()?;
-    Ok(TimelineState {
-        samples,
-        events: decode_events(get(value, "events")?)?,
-        events_synced: dec_u64(value, "events_synced")? as usize,
-    })
+        })?;
+        let mut b = FaultPlan::builder()
+            .seed(seed)
+            .death_rate(p.death_rate)
+            .sensor_dropout(p.dropout_rate)
+            .reading_outlier(p.outlier_rate, p.outlier_magnitude)
+            .stuck_at(p.stuck_rate, p.stuck_slots)
+            .link_loss(p.link_loss, p.link_retries)
+            .recovery(p.recovery);
+        for (slot, node) in p.kills {
+            b = b.kill(node, slot);
+        }
+        for (slot, fraction) in p.culls {
+            b = b.cull(fraction, slot);
+        }
+        if let Some(m) = p.battery {
+            b = b.battery(m.capacity, m.idle_drain, m.move_drain);
+        }
+        b.build()
+            .map_err(|e| Error::custom(format!("fails validation: {e}")))
+    }
 }
 
-// ---- survivability ----------------------------------------------------
+/// Stuck-sensor entries as `null` or `{frozen_time, until}`.
+pub(crate) mod stuck {
+    use super::*;
 
-fn encode_survivability(s: &SurvivabilityState) -> Result<Value, CoreError> {
-    let degradation = s
-        .degradation
-        .iter()
-        .map(|&(dead, delta)| {
-            Ok(Value::Array(vec![
-                num("degradation fraction", dead)?,
-                num("degradation delta", delta)?,
-            ]))
+    #[derive(Serialize, Deserialize)]
+    struct Frozen {
+        frozen_time: f64,
+        until: u64,
+    }
+
+    pub(crate) fn serialize(stuck: &[Option<(f64, u64)>]) -> Result<Value, Error> {
+        records(stuck, |s| {
+            s.map(|(frozen_time, until)| Frozen { frozen_time, until })
         })
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let reconnect_times = s
-        .reconnect_times
-        .iter()
-        .map(|&t| num("reconnect time", t))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    let critical = s
-        .critical_nodes
-        .iter()
-        .map(|&n| int(n as u64))
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    Ok(obj([
-        ("initial_nodes", int(s.initial_nodes as u64)?),
-        ("last_alive", int(s.last_alive as u64)?),
-        (
-            "baseline_delta",
-            match s.baseline_delta {
-                Some(d) => num("baseline_delta", d)?,
-                None => Value::Null,
-            },
-        ),
-        (
-            "final_delta",
-            match s.final_delta {
-                Some(d) => num("final_delta", d)?,
-                None => Value::Null,
-            },
-        ),
-        ("degradation", Value::Array(degradation)),
-        ("partitions", int(s.partitions as u64)?),
-        ("reconnects", int(s.reconnects as u64)?),
-        ("reconnect_times", Value::Array(reconnect_times)),
-        (
-            "partition_open_since",
-            match s.partition_open_since {
-                Some(t) => num("partition_open_since", t)?,
-                None => Value::Null,
-            },
-        ),
-        ("messages", int(s.messages as u64)?),
-        ("retried", int(s.retried as u64)?),
-        ("dropped", int(s.dropped as u64)?),
-        ("critical_nodes", Value::Array(critical)),
-    ]))
+    }
+
+    pub(crate) fn deserialize(v: &Value) -> Result<Vec<Option<(f64, u64)>>, Error> {
+        let stuck = Vec::<Option<Frozen>>::deserialize(v)?.into_iter();
+        Ok(stuck.map(|s| s.map(|f| (f.frozen_time, f.until))).collect())
+    }
 }
 
-fn decode_survivability(value: &Value) -> Result<SurvivabilityState, CoreError> {
-    let degradation = get(value, "degradation")?
-        .as_array()
-        .ok_or_else(|| corrupt("degradation must be an array".to_string()))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| corrupt("degradation entries must be [dead, delta]".to_string()))?;
-            let dead = pair[0]
-                .as_f64()
-                .ok_or_else(|| corrupt("degradation fraction must be a number".to_string()))?;
-            let delta = pair[1]
-                .as_f64()
-                .ok_or_else(|| corrupt("degradation delta must be a number".to_string()))?;
-            Ok((dead, delta))
-        })
-        .collect::<Result<Vec<(f64, f64)>, CoreError>>()?;
-    let reconnect_times = get(value, "reconnect_times")?
-        .as_array()
-        .ok_or_else(|| corrupt("reconnect_times must be an array".to_string()))?
-        .iter()
-        .map(|t| {
-            t.as_f64()
-                .ok_or_else(|| corrupt("reconnect times must be numbers".to_string()))
-        })
-        .collect::<Result<Vec<f64>, CoreError>>()?;
-    let critical_nodes = get(value, "critical_nodes")?
-        .as_array()
-        .ok_or_else(|| corrupt("critical_nodes must be an array".to_string()))?
-        .iter()
-        .map(|n| {
-            n.as_u64()
-                .map(|n| n as usize)
-                .ok_or_else(|| corrupt("critical nodes must be integers".to_string()))
-        })
-        .collect::<Result<Vec<usize>, CoreError>>()?;
-    Ok(SurvivabilityState {
-        initial_nodes: dec_u64(value, "initial_nodes")? as usize,
-        last_alive: dec_u64(value, "last_alive")? as usize,
-        baseline_delta: dec_opt_f64(value, "baseline_delta")?,
-        final_delta: dec_opt_f64(value, "final_delta")?,
-        degradation,
-        partitions: dec_u64(value, "partitions")? as usize,
-        reconnects: dec_u64(value, "reconnects")? as usize,
-        reconnect_times,
-        partition_open_since: dec_opt_f64(value, "partition_open_since")?,
-        messages: dec_u64(value, "messages")? as usize,
-        retried: dec_u64(value, "retried")? as usize,
-        dropped: dec_u64(value, "dropped")? as usize,
-        critical_nodes,
-    })
+/// Timeline samples as flat `{time, delta, rms, connected, node_count}`
+/// objects: the evaluation's own keys plus `time`.
+mod samples {
+    use super::*;
+
+    pub(super) fn serialize(samples: &[(f64, DeploymentEvaluation)]) -> Result<Value, Error> {
+        let rows = samples.iter().map(|(time, eval)| {
+            let mut row = eval.serialize()?;
+            if let Value::Object(map) = &mut row {
+                map.insert("time".to_string(), time.serialize()?);
+            }
+            Ok(row)
+        });
+        rows.collect::<Result<_, _>>().map(Value::Array)
+    }
+
+    pub(super) fn deserialize(v: &Value) -> Result<Vec<(f64, DeploymentEvaluation)>, Error> {
+        let rows = v
+            .as_array()
+            .ok_or_else(|| Error::custom("expected array"))?;
+        rows.iter()
+            .map(|row| {
+                let time = row.get("time").unwrap_or(&Value::Null);
+                let time = serde::__private::at("time", f64::deserialize(time))?;
+                Ok((time, DeploymentEvaluation::deserialize(row)?))
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::DeathCause;
+    use proptest::prelude::*;
+
+    /// `payload` under a correct header, so that only the structural
+    /// decoder, not the checksum, judges it.
+    fn reseal(payload: &[u8]) -> Vec<u8> {
+        let mut out = format!(
+            "{MAGIC} {SNAPSHOT_VERSION} {:016x} {}\n",
+            fnv1a64(payload),
+            payload.len()
+        )
+        .into_bytes();
+        out.extend_from_slice(payload);
+        out
+    }
 
     fn sample_snapshot() -> SimSnapshot {
         let plan = FaultPlan::builder()
@@ -1372,6 +937,76 @@ mod tests {
     }
 
     #[test]
+    fn v1_golden_is_reproduced_byte_for_byte() {
+        // Recorded before the codec was derived: the derived encoder
+        // must write the same bytes, and decode them to the fixture.
+        let golden = include_bytes!("../../../tests/goldens/snapshot_v1.cpsnap");
+        assert_eq!(sample_snapshot().to_bytes().unwrap(), golden);
+        assert_eq!(SimSnapshot::from_bytes(golden).unwrap(), sample_snapshot());
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected_at_decode_time() {
+        // `1e999` parses to infinity in a naive reader; a state loaded
+        // with it could never be checkpointed again.
+        let payload = to_json(&sample_snapshot()).unwrap();
+        for (from, to) in [
+            (r#""reconnect_times":[3]"#, r#""reconnect_times":[1e999]"#),
+            (r#"[0.5,150]"#, r#"[0.5,1e999]"#),
+            (r#""time":617"#, r#""time":1e999"#),
+        ] {
+            assert!(payload.contains(from), "{from}");
+            let evil = reseal(payload.replacen(from, to, 1).as_bytes());
+            match SimSnapshot::from_bytes(&evil) {
+                Err(CoreError::SnapshotCorrupt { reason, .. }) => {
+                    assert!(reason.contains("number out of range"), "{reason}")
+                }
+                other => panic!("{to}: expected SnapshotCorrupt, got {other:?}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in prop::collection::vec(0u8..=255, 0..300),
+            framed in any::<bool>(),
+        ) {
+            // Half the cases get a valid header, so the JSON parser and
+            // the structural decoder see the garbage too.
+            let bytes = if framed { reseal(&bytes) } else { bytes };
+            prop_assert!(matches!(
+                SimSnapshot::from_bytes(&bytes),
+                Err(CoreError::SnapshotCorrupt { .. } | CoreError::SnapshotVersion { .. })
+            ));
+        }
+
+        #[test]
+        fn edited_payloads_decode_or_fail_typed(
+            edits in prop::collection::vec((any::<prop::sample::Index>(), 0u8..=255, 0u8..3), 1..6),
+        ) {
+            let mut payload = to_json(&sample_snapshot()).unwrap().into_bytes();
+            for (at, byte, op) in edits {
+                let i = at.index(payload.len());
+                match op {
+                    0 => payload[i] = byte,
+                    1 => payload.insert(i, byte),
+                    _ => {
+                        payload.remove(i);
+                    }
+                }
+            }
+            let result = SimSnapshot::from_bytes(&reseal(&payload));
+            prop_assert!(
+                matches!(result, Ok(_) | Err(CoreError::SnapshotCorrupt { .. })),
+                "{result:?}"
+            );
+        }
+    }
+
+    #[test]
     fn minimal_snapshot_round_trips() {
         let mut snap = sample_snapshot();
         snap.fault = None;
@@ -1416,7 +1051,7 @@ mod tests {
         }
         let mut snap = interrupted.checkpoint();
         snap.attach_timeline(&timeline);
-        let Value::Object(mut fields) = snap.encode().unwrap() else {
+        let Value::Object(mut fields) = snap.serialize().unwrap() else {
             panic!("a snapshot encodes to a JSON object");
         };
         fields.insert("eval_cached".to_string(), Value::Bool(false));
@@ -1424,15 +1059,9 @@ mod tests {
             "eval_kernel".to_string(),
             Value::String("raster".to_string()),
         );
-        let payload = serde_json::to_string(&Value::Object(fields)).unwrap();
-        assert!(payload.contains(r#""eval_cached":false,"eval_kernel":"raster","#));
-        let mut bytes = format!(
-            "{MAGIC} {SNAPSHOT_VERSION} {:016x} {}\n",
-            fnv1a64(payload.as_bytes()),
-            payload.len()
-        )
-        .into_bytes();
-        bytes.extend_from_slice(payload.as_bytes());
+        let bytes = seal(MAGIC, SNAPSHOT_VERSION, &Value::Object(fields)).unwrap();
+        assert!(String::from_utf8_lossy(&bytes)
+            .contains(r#""eval_cached":false,"eval_kernel":"raster","#));
 
         let snap = SimSnapshot::from_bytes(&bytes).unwrap();
         let mut timeline = snap.timeline(EvalOptions::new()).unwrap();
@@ -1511,10 +1140,14 @@ mod tests {
     fn non_finite_state_is_rejected_at_encode_time() {
         let mut snap = sample_snapshot();
         snap.curvature_scale = f64::NAN;
-        assert!(matches!(
-            snap.to_bytes(),
-            Err(CoreError::SnapshotCorrupt { .. })
-        ));
+        let reason = |snap: &SimSnapshot| match snap.to_bytes() {
+            Err(CoreError::SnapshotCorrupt { reason, .. }) => reason,
+            other => panic!("expected SnapshotCorrupt, got {other:?}"),
+        };
+        assert_eq!(reason(&snap), "curvature_scale is not finite (NaN)");
+        snap.curvature_scale = 1.0;
+        snap.fault.as_mut().unwrap().energy[1] = f64::INFINITY;
+        assert_eq!(reason(&snap), "fault.energy[1] is not finite (inf)");
     }
 
     #[test]

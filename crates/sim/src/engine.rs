@@ -6,8 +6,8 @@ use cps_field::par::map_rows;
 use cps_field::{Parallelism, TimeVaryingField};
 use cps_geometry::{within, Point2, Rect};
 
-use crate::checkpoint::{FaultState, SimSnapshot};
-use crate::fault::{FaultEvent, FaultPlan, FaultRuntime};
+use crate::checkpoint::{corrupt, SimSnapshot};
+use crate::fault::{FaultEvent, FaultPlan, FaultState};
 use crate::stage::{EventBus, StagePipeline, StepCtx, StepEvent, StepObserver};
 
 /// Simulation parameters.
@@ -100,7 +100,7 @@ pub struct Simulation<F> {
     /// gossiped normalization reference fed to every CMA step.
     pub(crate) curvature_scale: f64,
     /// Fault-injection state; `None` runs the pristine fast path.
-    pub(crate) fault: Option<FaultRuntime>,
+    pub(crate) fault: Option<FaultState>,
     /// The δ-evaluation options declared at build time
     /// ([`CmaBuilder::evaluator`]) for consumers measuring this run
     /// (e.g. `DeltaTimeline`).
@@ -169,7 +169,7 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
             // The initial sensing pass below is deliberately fault-free:
             // deployment happens before the mission clock starts, so
             // slot 0 of the fault schedule applies to the first step().
-            fault: faults.map(|plan| FaultRuntime::new(plan, node_count)),
+            fault: faults.map(|plan| FaultState::new(plan, node_count)),
             eval,
         };
         // Pre-movement sensing pass: every node estimates its initial
@@ -210,12 +210,6 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
         parallelism: Parallelism,
         eval: EvalOptions,
     ) -> Result<Self, CoreError> {
-        fn bad(reason: String) -> CoreError {
-            CoreError::SnapshotCorrupt {
-                path: String::new(),
-                reason,
-            }
-        }
         let cps = CpsConfig::builder()
             .comm_radius(snapshot.comm_radius)
             .sensing_radius(snapshot.sensing_radius)
@@ -229,23 +223,23 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
             parallelism,
         };
         if !config.time_step.is_finite() || config.time_step <= 0.0 {
-            return Err(bad("time_step must be positive and finite".to_string()));
+            return Err(corrupt("time_step must be positive and finite".to_string()));
         }
         if !config.sense_spacing.is_finite()
             || config.sense_spacing <= 0.0
             || config.sense_spacing > cps.sensing_radius()
         {
-            return Err(bad(
+            return Err(corrupt(
                 "sense_spacing must be positive and within the sensing radius".to_string(),
             ));
         }
         if snapshot.nodes.is_empty() {
-            return Err(bad("snapshot carries no nodes".to_string()));
+            return Err(corrupt("snapshot carries no nodes".to_string()));
         }
         // A snapshot taken under a different stage order cannot resume
         // bit-identically under the standard pipeline.
         if snapshot.pipeline != crate::stage::STANDARD_STAGES {
-            return Err(bad(format!(
+            return Err(corrupt(format!(
                 "snapshot pipeline {:?} is not the standard stage sequence {:?}",
                 snapshot.pipeline,
                 crate::stage::STANDARD_STAGES
@@ -253,18 +247,18 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
         }
         // The engine indexes `nodes` by stable id.
         if snapshot.nodes.iter().enumerate().any(|(i, n)| n.id != i) {
-            return Err(bad("node ids must be dense and in order".to_string()));
+            return Err(corrupt("node ids must be dense and in order".to_string()));
         }
         if snapshot
             .nodes
             .iter()
             .any(|n| n.alive && !snapshot.region.contains(n.position))
         {
-            return Err(bad("an alive node lies outside the region".to_string()));
+            return Err(corrupt("an alive node lies outside the region".to_string()));
         }
         if let Some(f) = &snapshot.fault {
             if f.stuck.len() != snapshot.nodes.len() {
-                return Err(bad(format!(
+                return Err(corrupt(format!(
                     "stuck-sensor table covers {} nodes, fleet has {}",
                     f.stuck.len(),
                     snapshot.nodes.len()
@@ -276,7 +270,7 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
                 0
             };
             if f.energy.len() != expect_energy {
-                return Err(bad(format!(
+                return Err(corrupt(format!(
                     "energy table covers {} nodes, expected {expect_energy}",
                     f.energy.len()
                 )));
@@ -291,19 +285,7 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
             time: snapshot.time,
             slot: snapshot.slot,
             curvature_scale: snapshot.curvature_scale,
-            fault: snapshot.fault.map(|f| {
-                FaultRuntime::restore(
-                    f.plan,
-                    f.slot,
-                    f.energy,
-                    f.stuck,
-                    f.events,
-                    f.partition_since,
-                    f.deaths_total,
-                    f.retried_total,
-                    f.dropped_total,
-                )
-            }),
+            fault: snapshot.fault,
             eval,
         })
     }
@@ -342,22 +324,9 @@ impl<F: TimeVaryingField> Simulation<F> {
             cma: self.cma,
             region: self.region,
             curvature_scale: self.curvature_scale,
-            pipeline: crate::stage::STANDARD_STAGES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            pipeline: crate::checkpoint::standard_pipeline(),
             nodes: self.nodes.clone(),
-            fault: self.fault.as_ref().map(|rt| FaultState {
-                plan: rt.plan.clone(),
-                slot: rt.slot,
-                energy: rt.energy().to_vec(),
-                stuck: rt.stuck().to_vec(),
-                events: rt.events.clone(),
-                partition_since: rt.partition_since(),
-                deaths_total: rt.deaths_total,
-                retried_total: rt.retried_total,
-                dropped_total: rt.dropped_total,
-            }),
+            fault: self.fault.clone(),
             timeline: None,
             survivability: None,
         }
@@ -444,7 +413,7 @@ impl<F: TimeVaryingField> Simulation<F> {
     /// Installs (or replaces) a fault plan mid-run; its slot 0 is the
     /// next step. Prefer [`CmaBuilder::faults`] for whole-run plans.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(FaultRuntime::new(plan, self.nodes.len()));
+        self.fault = Some(FaultState::new(plan, self.nodes.len()));
     }
 
     /// Whether the surviving network was split into multiple components

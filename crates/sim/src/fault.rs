@@ -33,9 +33,11 @@ use std::collections::HashSet;
 use cps_core::CoreError;
 use cps_geometry::Point2;
 use cps_network::{RelayPlan, UnitDiskGraph};
+use serde::{Deserialize, Serialize};
 
 /// When the engine re-plans relays to heal a partitioned swarm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum RecoveryPolicy {
     /// Heal partitions iff the plan injects any fault (the default):
     /// a zero-fault plan stays bit-identical to a fault-free run.
@@ -51,7 +53,7 @@ pub enum RecoveryPolicy {
 /// Battery model: every node starts with the same budget and spends it
 /// per slot and per metre moved; an exhausted node dies at the start of
 /// the next slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BatteryModel {
     /// Initial energy budget per node (abstract units).
     pub capacity: f64,
@@ -62,7 +64,8 @@ pub struct BatteryModel {
 }
 
 /// Why a node died.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum DeathCause {
     /// A [`FaultPlanBuilder::kill`] or [`FaultPlanBuilder::cull`] entry.
     Scheduled,
@@ -74,7 +77,8 @@ pub enum DeathCause {
 
 /// Something the fault subsystem did or observed, for the event log
 /// recorded alongside δ(t).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "lowercase")]
 pub enum FaultEvent {
     /// A node died at the start of the slot.
     Death {
@@ -589,31 +593,41 @@ pub(crate) enum SensorFault {
     },
 }
 
-/// Per-simulation mutable fault state (the plan plus what has happened
-/// so far).
-#[derive(Debug, Clone)]
-pub(crate) struct FaultRuntime {
-    pub(crate) plan: FaultPlan,
-    /// Steps taken since construction.
-    pub(crate) slot: u64,
+/// Per-simulation mutable fault state: the plan plus everything the
+/// runtime accumulated so far. A checkpoint stores it as is.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FaultState {
+    /// The installed schedule (restored through the validating builder).
+    #[serde(with = "crate::checkpoint::plan")]
+    pub plan: FaultPlan,
+    /// Slot cursor: steps taken since construction. The SplitMix64
+    /// stream of every future slot is derived from `(plan seed, slot)`,
+    /// so this one integer carries the whole RNG state.
+    pub slot: u64,
     /// Remaining energy by node id (empty without a battery model).
-    energy: Vec<f64>,
+    pub energy: Vec<f64>,
     /// Stuck-sensor state by node id: `(frozen_time, expiry_slot)`.
-    stuck: Vec<Option<(f64, u64)>>,
-    pub(crate) events: Vec<FaultEvent>,
-    partition_since: Option<u64>,
-    pub(crate) deaths_total: usize,
-    pub(crate) retried_total: usize,
-    pub(crate) dropped_total: usize,
+    #[serde(with = "crate::checkpoint::stuck")]
+    pub stuck: Vec<Option<(f64, u64)>>,
+    /// Everything recorded so far (deaths, partitions, reconnects).
+    pub events: Vec<FaultEvent>,
+    /// Slot the currently-open partition started at, if any.
+    pub partition_since: Option<u64>,
+    /// Total deaths so far.
+    pub deaths_total: usize,
+    /// Total retried deliveries so far.
+    pub retried_total: usize,
+    /// Total dropped directed link-slots so far.
+    pub dropped_total: usize,
 }
 
-impl FaultRuntime {
+impl FaultState {
     pub(crate) fn new(plan: FaultPlan, node_count: usize) -> Self {
         let energy = match plan.battery {
             Some(b) => vec![b.capacity; node_count],
             None => Vec::new(),
         };
-        FaultRuntime {
+        FaultState {
             plan,
             slot: 0,
             energy,
@@ -808,53 +822,6 @@ impl FaultRuntime {
     pub(crate) fn partitioned(&self) -> bool {
         self.partition_since.is_some()
     }
-
-    /// Remaining per-node energy (empty without a battery model) — for
-    /// checkpointing.
-    pub(crate) fn energy(&self) -> &[f64] {
-        &self.energy
-    }
-
-    /// Per-node stuck-sensor state `(frozen_time, expiry_slot)` — for
-    /// checkpointing.
-    pub(crate) fn stuck(&self) -> &[Option<(f64, u64)>] {
-        &self.stuck
-    }
-
-    /// The slot the currently-open partition started at, if any — for
-    /// checkpointing.
-    pub(crate) fn partition_since(&self) -> Option<u64> {
-        self.partition_since
-    }
-
-    /// Rebuilds the runtime from checkpointed state. The per-slot
-    /// SplitMix64 streams are derived from `(plan seed, slot)` alone,
-    /// so restoring the slot cursor restores the randomness exactly:
-    /// every future draw matches the uninterrupted run bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn restore(
-        plan: FaultPlan,
-        slot: u64,
-        energy: Vec<f64>,
-        stuck: Vec<Option<(f64, u64)>>,
-        events: Vec<FaultEvent>,
-        partition_since: Option<u64>,
-        deaths_total: usize,
-        retried_total: usize,
-        dropped_total: usize,
-    ) -> Self {
-        FaultRuntime {
-            plan,
-            slot,
-            energy,
-            stuck,
-            events,
-            partition_since,
-            deaths_total,
-            retried_total,
-            dropped_total,
-        }
-    }
 }
 
 /// Relay re-planning for a partitioned swarm: plans relays over the
@@ -959,7 +926,7 @@ mod tests {
             .cull(0.5, 1)
             .build()
             .unwrap();
-        let mut rt = FaultRuntime::new(plan, 4);
+        let mut rt = FaultState::new(plan, 4);
         let mut alive = vec![true; 4];
         let mut rng = rt.slot_rng();
         assert_eq!(rt.apply_deaths(&mut rng, &mut alive, 0.0), 1);
@@ -976,7 +943,7 @@ mod tests {
     #[test]
     fn battery_depletion_kills_at_slot_start() {
         let plan = FaultPlan::builder().battery(1.0, 0.6, 0.0).build().unwrap();
-        let mut rt = FaultRuntime::new(plan, 1);
+        let mut rt = FaultState::new(plan, 1);
         let mut alive = vec![true];
         for slot in 0..3 {
             rt.slot = slot;
@@ -1003,7 +970,7 @@ mod tests {
             UnitDiskGraph::new(vec![Point2::new(0.0, 0.0), Point2::new(1.0, 0.0)], 2.0).unwrap();
         // Certain loss: every direction exhausts its budget and drops.
         let plan = FaultPlan::builder().link_loss(1.0, 3).build().unwrap();
-        let mut rt = FaultRuntime::new(plan, 2);
+        let mut rt = FaultState::new(plan, 2);
         let mut rng = rt.slot_rng();
         let (down, retried, dropped, attempts) = rt.draw_link_outages(&mut rng, &g);
         assert_eq!(down.len(), 2);
@@ -1012,7 +979,7 @@ mod tests {
         assert_eq!(retried, 6);
         // Zero loss: clean channel, no draws.
         let plan = FaultPlan::builder().build().unwrap();
-        let mut rt = FaultRuntime::new(plan, 2);
+        let mut rt = FaultState::new(plan, 2);
         let mut rng = rt.slot_rng();
         let (down, retried, dropped, attempts) = rt.draw_link_outages(&mut rng, &g);
         assert!(down.is_empty());
@@ -1022,7 +989,7 @@ mod tests {
 
     #[test]
     fn partition_bookkeeping_records_recovery_slot() {
-        let mut rt = FaultRuntime::new(FaultPlan::none(), 3);
+        let mut rt = FaultState::new(FaultPlan::none(), 3);
         rt.slot = 5;
         rt.observe_topology(2, 1, 5.0);
         assert!(rt.partitioned());
@@ -1067,7 +1034,7 @@ mod tests {
     #[test]
     fn stuck_sensor_freezes_then_recovers() {
         let plan = FaultPlan::builder().stuck_at(1.0, 2).build().unwrap();
-        let mut rt = FaultRuntime::new(plan, 1);
+        let mut rt = FaultState::new(plan, 1);
         let mut rng = rt.slot_rng();
         let f0 = rt.draw_sensor_faults(&mut rng, &[0], 10.0);
         assert_eq!(f0, vec![SensorFault::Stuck { frozen_time: 10.0 }]);

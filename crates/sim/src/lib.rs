@@ -46,12 +46,12 @@ pub mod sweep;
 mod trajectory;
 
 pub use checkpoint::{
-    CheckpointDir, CheckpointPolicy, FaultState, SimSnapshot, TimelineState, SNAPSHOT_VERSION,
+    CheckpointDir, CheckpointPolicy, SimSnapshot, TimelineState, SNAPSHOT_VERSION,
 };
 pub use engine::{CmaBuilder, MobileNode, SimConfig, Simulation, StepReport};
 pub use exploration::ExplorationTracker;
 pub use fault::{
-    BatteryModel, DeathCause, FaultEvent, FaultPlan, FaultPlanBuilder, RecoveryPolicy,
+    BatteryModel, DeathCause, FaultEvent, FaultPlan, FaultPlanBuilder, FaultState, RecoveryPolicy,
 };
 pub use metrics::{ConvergenceDetector, DeltaTimeline};
 pub use observers::RunRecorder;

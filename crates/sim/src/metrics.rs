@@ -5,7 +5,7 @@ use cps_core::{CoreError, DeltaEvaluator, DeploymentEvaluation, EvalOptions};
 use cps_field::{Parallelism, TimeVaryingField};
 use cps_geometry::GridSpec;
 
-use crate::{FaultEvent, Simulation};
+use crate::{FaultEvent, Simulation, TimelineState};
 
 /// A recorded series of `(time, δ)` samples — the paper's Fig. 10.
 ///
@@ -23,11 +23,8 @@ use crate::{FaultEvent, Simulation};
 /// [`DeltaTimeline::events`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaTimeline {
-    samples: Vec<(f64, DeploymentEvaluation)>,
-    events: Vec<FaultEvent>,
-    /// How many of the simulation's fault events have been copied into
-    /// `events` so far.
-    events_synced: usize,
+    /// The records, in the form a checkpoint stores them.
+    state: TimelineState,
     opts: EvalOptions,
 }
 
@@ -78,40 +75,30 @@ impl DeltaTimeline {
             .survivors(true)
             .evaluate(&sim.positions())?;
         let pending = sim.fault_events();
-        if pending.len() > self.events_synced {
-            self.events
-                .extend_from_slice(&pending[self.events_synced..]);
-            self.events_synced = pending.len();
+        let s = &mut self.state;
+        if pending.len() > s.events_synced {
+            s.events.extend_from_slice(&pending[s.events_synced..]);
+            s.events_synced = pending.len();
         }
-        self.samples.push((sim.time(), eval));
+        s.samples.push((sim.time(), eval));
         Ok(eval)
     }
 
     /// Fault events copied from the simulation, in occurrence order
     /// (empty without a fault plan).
     pub fn events(&self) -> &[FaultEvent] {
-        &self.events
+        &self.state.events
     }
 
-    /// How many of the simulation's fault events have been copied into
-    /// this timeline so far (the checkpointed sync cursor).
-    pub fn events_synced(&self) -> usize {
-        self.events_synced
+    /// The records as a checkpoint stores them (samples, events and
+    /// the event sync cursor).
+    pub fn state(&self) -> &TimelineState {
+        &self.state
     }
 
-    /// Rebuilds a timeline from checkpointed parts.
-    pub fn from_state(
-        opts: EvalOptions,
-        samples: Vec<(f64, DeploymentEvaluation)>,
-        events: Vec<FaultEvent>,
-        events_synced: usize,
-    ) -> Self {
-        DeltaTimeline {
-            samples,
-            events,
-            events_synced,
-            opts,
-        }
+    /// Rebuilds a timeline from checkpointed records.
+    pub fn from_state(opts: EvalOptions, state: TimelineState) -> Self {
+        DeltaTimeline { state, opts }
     }
 
     /// The evaluation options recordings run with.
@@ -121,17 +108,22 @@ impl DeltaTimeline {
 
     /// The recorded `(time, evaluation)` samples, in record order.
     pub fn samples(&self) -> &[(f64, DeploymentEvaluation)] {
-        &self.samples
+        &self.state.samples
     }
 
     /// Just the `(time, δ)` pairs.
     pub fn delta_series(&self) -> Vec<(f64, f64)> {
-        self.samples.iter().map(|&(t, e)| (t, e.delta)).collect()
+        self.state
+            .samples
+            .iter()
+            .map(|&(t, e)| (t, e.delta))
+            .collect()
     }
 
     /// The smallest recorded δ, if any samples exist.
     pub fn best_delta(&self) -> Option<f64> {
-        self.samples
+        self.state
+            .samples
             .iter()
             .map(|&(_, e)| e.delta)
             .min_by(f64::total_cmp)
@@ -139,12 +131,12 @@ impl DeltaTimeline {
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.state.samples.len()
     }
 
     /// Whether no samples were recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.state.samples.is_empty()
     }
 }
 

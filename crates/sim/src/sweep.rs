@@ -49,10 +49,11 @@ use std::sync::Mutex;
 use cps_core::{CoreError, CpsConfig, EvalOptions};
 use cps_field::{Parallelism, TimeVaryingField};
 use cps_geometry::{GridSpec, Point2, Rect};
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
+use serde_json::{Error, Value};
 
 use crate::checkpoint::{
-    atomic_write, corrupt, dec_bool, dec_f64, dec_u64, fnv1a64, get, int, num, obj, snapshot_io,
+    at_path, atomic_write, corrupt, fnv1a64, from_json, open, rect, seal, snapshot_io, to_json,
 };
 use crate::fault::FaultPlan;
 use crate::{scenario, CmaBuilder, DeltaTimeline, FaultEvent, RunRecorder, SimConfig};
@@ -71,12 +72,18 @@ const SWEEP_MAGIC: &str = "CPSSWEEP";
 /// × `seeds` (inner) — so a `(k, Rc, fault)` cell's jobs are the
 /// consecutive run over its seeds, and job index `i` means the same
 /// scenario in every process that loads the same spec.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// In JSON, absent keys keep their [`Default`] values and unknown keys
+/// are rejected by name.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields, expecting = "spec")]
 pub struct SweepSpec {
     /// Region of interest (default: the paper's 100×100 m window at
     /// (20,20)–(120,120)).
+    #[serde(with = "rect")]
     pub region: Rect,
     /// Field/replication seeds — the axis aggregated over per cell.
+    #[serde(with = "wide_seeds")]
     pub seeds: Vec<u64>,
     /// Node-count axis.
     pub k: Vec<usize>,
@@ -216,7 +223,7 @@ impl SweepSpec {
     /// [`CoreError::SnapshotCorrupt`] when a knob holds a non-finite
     /// float.
     pub fn to_json(&self) -> Result<String, CoreError> {
-        serde_json::to_string(&self.encode()?).map_err(|e| corrupt(e.to_string()))
+        to_json(self)
     }
 
     /// Parses a spec from JSON text; absent fields keep their
@@ -233,172 +240,26 @@ impl SweepSpec {
     pub fn from_json(text: &str) -> Result<Self, CoreError> {
         let value: Value =
             serde_json::from_str(text).map_err(|e| corrupt(format!("spec is not JSON: {e}")))?;
-        let spec = Self::decode(&value)?;
+        let spec = Self::deserialize(&value).map_err(|e| corrupt(e.to_string()))?;
         spec.validate()?;
         Ok(spec)
-    }
-
-    fn encode(&self) -> Result<Value, CoreError> {
-        let seeds = self
-            .seeds
-            .iter()
-            .map(|&s| encode_u64_wide(s))
-            .collect::<Result<Vec<Value>, CoreError>>()?;
-        let k = self
-            .k
-            .iter()
-            .map(|&k| int(k as u64))
-            .collect::<Result<Vec<Value>, CoreError>>()?;
-        let comm_radius = self
-            .comm_radius
-            .iter()
-            .map(|&r| num("comm_radius", r))
-            .collect::<Result<Vec<Value>, CoreError>>()?;
-        let faults = self
-            .faults
-            .iter()
-            .map(|f| Value::String(f.clone()))
-            .collect::<Vec<Value>>();
-        Ok(obj([
-            (
-                "region",
-                obj([
-                    ("min_x", num("region min_x", self.region.min().x)?),
-                    ("min_y", num("region min_y", self.region.min().y)?),
-                    ("max_x", num("region max_x", self.region.max().x)?),
-                    ("max_y", num("region max_y", self.region.max().y)?),
-                ]),
-            ),
-            ("seeds", Value::Array(seeds)),
-            ("k", Value::Array(k)),
-            ("comm_radius", Value::Array(comm_radius)),
-            ("faults", Value::Array(faults)),
-            ("minutes", int(self.minutes)?),
-            ("sample_every", int(self.sample_every)?),
-            ("resolution", int(self.resolution as u64)?),
-            (
-                "spacing_factor",
-                num("spacing_factor", self.spacing_factor)?,
-            ),
-            ("start_time", num("start_time", self.start_time)?),
-        ]))
-    }
-
-    fn decode(value: &Value) -> Result<Self, CoreError> {
-        reject_unknown_keys(value, "spec", SPEC_KEYS)?;
-        let mut spec = SweepSpec::default();
-        if let Some(r) = value.get("region") {
-            reject_unknown_keys(r, "region", REGION_KEYS)?;
-            spec.region = Rect::new(
-                Point2::new(dec_f64(r, "min_x")?, dec_f64(r, "min_y")?),
-                Point2::new(dec_f64(r, "max_x")?, dec_f64(r, "max_y")?),
-            )
-            .map_err(|e| corrupt(format!("region: {e}")))?;
-        }
-        if let Some(seeds) = value.get("seeds") {
-            spec.seeds = seeds
-                .as_array()
-                .ok_or_else(|| corrupt("seeds must be an array".to_string()))?
-                .iter()
-                .map(decode_u64_wide)
-                .collect::<Result<Vec<u64>, CoreError>>()?;
-        }
-        if let Some(k) = value.get("k") {
-            spec.k = k
-                .as_array()
-                .ok_or_else(|| corrupt("k must be an array".to_string()))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .map(|k| k as usize)
-                        .ok_or_else(|| corrupt("k entries must be unsigned integers".to_string()))
-                })
-                .collect::<Result<Vec<usize>, CoreError>>()?;
-        }
-        if let Some(rc) = value.get("comm_radius") {
-            spec.comm_radius = rc
-                .as_array()
-                .ok_or_else(|| corrupt("comm_radius must be an array".to_string()))?
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .filter(|x| x.is_finite())
-                        .ok_or_else(|| corrupt("comm_radius entries must be finite".to_string()))
-                })
-                .collect::<Result<Vec<f64>, CoreError>>()?;
-        }
-        if let Some(faults) = value.get("faults") {
-            spec.faults = faults
-                .as_array()
-                .ok_or_else(|| corrupt("faults must be an array".to_string()))?
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| corrupt("fault entries must be strings".to_string()))
-                })
-                .collect::<Result<Vec<String>, CoreError>>()?;
-        }
-        if value.get("minutes").is_some() {
-            spec.minutes = dec_u64(value, "minutes")?;
-        }
-        if value.get("sample_every").is_some() {
-            spec.sample_every = dec_u64(value, "sample_every")?;
-        }
-        if value.get("resolution").is_some() {
-            spec.resolution = dec_u64(value, "resolution")? as usize;
-        }
-        if value.get("spacing_factor").is_some() {
-            spec.spacing_factor = dec_f64(value, "spacing_factor")?;
-        }
-        if value.get("start_time").is_some() {
-            spec.start_time = dec_f64(value, "start_time")?;
-        }
-        Ok(spec)
-    }
-}
-
-/// Every key a spec object may carry (what [`SweepSpec::to_json`] writes).
-const SPEC_KEYS: &[&str] = &[
-    "region",
-    "seeds",
-    "k",
-    "comm_radius",
-    "faults",
-    "minutes",
-    "sample_every",
-    "resolution",
-    "spacing_factor",
-    "start_time",
-];
-
-/// Every key the spec's `region` object may carry.
-const REGION_KEYS: &[&str] = &["min_x", "min_y", "max_x", "max_y"];
-
-/// Fails on the first key of the JSON object `value` that is not in
-/// `known` (or when `value` is not an object at all).
-fn reject_unknown_keys(value: &Value, what: &str, known: &[&str]) -> Result<(), CoreError> {
-    let Value::Object(fields) = value else {
-        return Err(corrupt(format!("{what} must be a JSON object")));
-    };
-    match fields.keys().find(|key| !known.contains(&key.as_str())) {
-        Some(key) => Err(corrupt(format!("unknown {what} key '{key}'"))),
-        None => Ok(()),
     }
 }
 
 /// One expanded grid point: the scenario a single simulation runs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepJob {
     /// Position in the fixed expansion order (the determinism key).
     pub index: u64,
     /// Field/replication seed.
+    #[serde(with = "wide_u64")]
     pub seed: u64,
     /// Node count.
     pub k: usize,
     /// Communication radius `Rc`.
     pub comm_radius: f64,
     /// Fault spec in [`FaultPlan::parse`] syntax (`""` = none).
+    #[serde(rename = "faults")]
     pub fault_spec: String,
 }
 
@@ -424,7 +285,7 @@ impl SweepJob {
 /// What one sweep job produced (per-process instrumentation like
 /// `RunMetrics` is global and cannot be attributed per-job under
 /// concurrency, so jobs extract their own numbers).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobOutcome {
     /// δ at the final slot.
     pub final_delta: f64,
@@ -442,78 +303,10 @@ pub struct JobOutcome {
     pub series: Vec<(f64, f64)>,
 }
 
-fn encode_outcome(o: &JobOutcome) -> Result<Value, CoreError> {
-    let series = o
-        .series
-        .iter()
-        .map(|&(t, d)| {
-            Ok(Value::Array(vec![
-                num("series time", t)?,
-                num("series delta", d)?,
-            ]))
-        })
-        .collect::<Result<Vec<Value>, CoreError>>()?;
-    Ok(obj([
-        ("final_delta", num("final_delta", o.final_delta)?),
-        (
-            "best_delta",
-            match o.best_delta {
-                Some(d) => num("best_delta", d)?,
-                None => Value::Null,
-            },
-        ),
-        ("final_connected", Value::Bool(o.final_connected)),
-        ("alive", int(o.alive as u64)?),
-        ("deaths", int(o.deaths as u64)?),
-        ("messages", int(o.messages)?),
-        ("series", Value::Array(series)),
-    ]))
-}
-
-fn decode_outcome(value: &Value) -> Result<JobOutcome, CoreError> {
-    let series = get(value, "series")?
-        .as_array()
-        .ok_or_else(|| corrupt("outcome series must be an array".to_string()))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| corrupt("series entries must be [time, delta]".to_string()))?;
-            let t = pair[0]
-                .as_f64()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| corrupt("series time must be finite".to_string()))?;
-            let d = pair[1]
-                .as_f64()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| corrupt("series delta must be finite".to_string()))?;
-            Ok((t, d))
-        })
-        .collect::<Result<Vec<(f64, f64)>, CoreError>>()?;
-    let best_delta = match get(value, "best_delta")? {
-        Value::Null => None,
-        v => Some(
-            v.as_f64()
-                .filter(|x| x.is_finite())
-                .ok_or_else(|| corrupt("best_delta must be null or finite".to_string()))?,
-        ),
-    };
-    Ok(JobOutcome {
-        final_delta: dec_f64(value, "final_delta")?,
-        best_delta,
-        final_connected: dec_bool(value, "final_connected")?,
-        alive: dec_u64(value, "alive")? as usize,
-        deaths: dec_u64(value, "deaths")? as usize,
-        messages: dec_u64(value, "messages")?,
-        series,
-    })
-}
-
 // ---- aggregates ---------------------------------------------------------
 
 /// Fixed-order summary statistics over one cell's per-seed values.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Aggregate {
     /// Arithmetic mean, folded in job-index order.
     pub mean: f64,
@@ -545,25 +338,17 @@ impl Aggregate {
             max,
         })
     }
-
-    fn encode(&self, what: &str) -> Result<Value, CoreError> {
-        Ok(obj([
-            ("mean", num(what, self.mean)?),
-            ("stddev", num(what, self.stddev)?),
-            ("min", num(what, self.min)?),
-            ("max", num(what, self.max)?),
-        ]))
-    }
 }
 
 /// Aggregates for one `(k, Rc, fault)` grid cell, over its seeds.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellAggregate {
     /// Node count of the cell.
     pub k: usize,
     /// Communication radius of the cell.
     pub comm_radius: f64,
     /// Fault spec of the cell (`""` = none).
+    #[serde(rename = "faults")]
     pub fault_spec: String,
     /// Jobs (seeds) aggregated.
     pub jobs: usize,
@@ -577,31 +362,6 @@ pub struct CellAggregate {
     pub mean_alive: f64,
     /// Mean fault deaths.
     pub mean_deaths: f64,
-}
-
-impl CellAggregate {
-    fn encode(&self) -> Result<Value, CoreError> {
-        Ok(obj([
-            ("k", int(self.k as u64)?),
-            ("comm_radius", num("cell comm_radius", self.comm_radius)?),
-            ("faults", Value::String(self.fault_spec.clone())),
-            ("jobs", int(self.jobs as u64)?),
-            ("final_delta", self.final_delta.encode("cell final_delta")?),
-            (
-                "best_delta",
-                match &self.best_delta {
-                    Some(a) => a.encode("cell best_delta")?,
-                    None => Value::Null,
-                },
-            ),
-            (
-                "connected_fraction",
-                num("connected_fraction", self.connected_fraction)?,
-            ),
-            ("mean_alive", num("mean_alive", self.mean_alive)?),
-            ("mean_deaths", num("mean_deaths", self.mean_deaths)?),
-        ]))
-    }
 }
 
 /// Everything a sweep produced: the spec digest, per-job outcomes in
@@ -680,33 +440,30 @@ impl SweepResults {
     /// [`CoreError::SnapshotCorrupt`] when an outcome holds a
     /// non-finite float.
     pub fn to_json(&self) -> Result<String, CoreError> {
-        let jobs = self
-            .jobs
-            .iter()
-            .zip(&self.outcomes)
-            .map(|(job, outcome)| {
-                Ok(obj([
-                    ("index", int(job.index)?),
-                    ("seed", encode_u64_wide(job.seed)?),
-                    ("k", int(job.k as u64)?),
-                    ("comm_radius", num("job comm_radius", job.comm_radius)?),
-                    ("faults", Value::String(job.fault_spec.clone())),
-                    ("outcome", encode_outcome(outcome)?),
-                ]))
-            })
-            .collect::<Result<Vec<Value>, CoreError>>()?;
-        let cells = self
-            .cells
-            .iter()
-            .map(CellAggregate::encode)
-            .collect::<Result<Vec<Value>, CoreError>>()?;
-        let doc = obj([
-            ("spec_digest", Value::String(self.spec_digest.clone())),
-            ("jobs", Value::Array(jobs)),
-            ("cells", Value::Array(cells)),
-        ]);
-        serde_json::to_string(&doc).map_err(|e| corrupt(e.to_string()))
+        // Each row is the job's own keys plus its `outcome`.
+        let rows = self.jobs.iter().zip(&self.outcomes).map(|(job, outcome)| {
+            let mut row = job.serialize()?;
+            if let Value::Object(map) = &mut row {
+                map.insert("outcome".to_string(), outcome.serialize()?);
+            }
+            Ok(row)
+        });
+        to_json(&ResultsFile {
+            spec_digest: self.spec_digest.clone(),
+            jobs: rows
+                .collect::<Result<_, Error>>()
+                .map_err(|e| corrupt(e.to_string()))?,
+            cells: self.cells.clone(),
+        })
     }
+}
+
+/// The JSON document [`SweepResults::to_json`] writes.
+#[derive(Serialize)]
+struct ResultsFile {
+    spec_digest: String,
+    jobs: Vec<Value>,
+    cells: Vec<CellAggregate>,
 }
 
 // ---- manifest -----------------------------------------------------------
@@ -755,13 +512,7 @@ impl SweepManifest {
     pub fn load(path: impl Into<PathBuf>, spec_digest: u64) -> Result<Self, CoreError> {
         let path = path.into();
         let bytes = fs::read(&path).map_err(|e| snapshot_io(&path, &e))?;
-        let mut manifest = Self::from_bytes(&bytes).map_err(|e| match e {
-            CoreError::SnapshotCorrupt { reason, .. } => CoreError::SnapshotCorrupt {
-                path: path.display().to_string(),
-                reason,
-            },
-            other => other,
-        })?;
+        let mut manifest = Self::from_bytes(&bytes).map_err(|e| at_path(e, &path))?;
         if manifest.spec_digest != spec_digest {
             return Err(CoreError::SnapshotCorrupt {
                 path: path.display().to_string(),
@@ -804,129 +555,101 @@ impl SweepManifest {
         let jobs = self
             .completed
             .iter()
-            .map(|(&index, (digest, outcome))| {
-                Ok(obj([
-                    ("index", int(index)?),
-                    ("digest", Value::String(format!("{digest:016x}"))),
-                    ("outcome", encode_outcome(outcome)?),
-                ]))
-            })
-            .collect::<Result<Vec<Value>, CoreError>>()?;
-        let doc = obj([
-            (
-                "spec_digest",
-                Value::String(format!("{:016x}", self.spec_digest)),
-            ),
-            ("jobs", Value::Array(jobs)),
-        ]);
-        let payload = serde_json::to_string(&doc).map_err(|e| corrupt(e.to_string()))?;
-        let mut out = format!(
-            "{SWEEP_MAGIC} {SWEEP_MANIFEST_VERSION} {:016x} {}\n",
-            fnv1a64(payload.as_bytes()),
-            payload.len()
-        )
-        .into_bytes();
-        out.extend_from_slice(payload.as_bytes());
-        Ok(out)
+            .map(|(&index, (digest, outcome))| ManifestEntry {
+                index,
+                digest: *digest,
+                outcome: outcome.clone(),
+            });
+        let file = ManifestFile {
+            spec_digest: self.spec_digest,
+            jobs: jobs.collect(),
+        };
+        seal(SWEEP_MAGIC, SWEEP_MANIFEST_VERSION, &file)
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let newline = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| corrupt("missing header line".to_string()))?;
-        let header = std::str::from_utf8(&bytes[..newline])
-            .map_err(|_| corrupt("header is not UTF-8".to_string()))?;
-        let mut parts = header.split_ascii_whitespace();
-        if parts.next() != Some(SWEEP_MAGIC) {
-            return Err(corrupt(format!("bad magic (expected {SWEEP_MAGIC})")));
-        }
-        let version: u32 = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| corrupt("unreadable version".to_string()))?;
-        if version != SWEEP_MANIFEST_VERSION {
-            return Err(CoreError::SnapshotVersion {
-                found: version,
-                supported: SWEEP_MANIFEST_VERSION,
-            });
-        }
-        let checksum = parts
-            .next()
-            .filter(|v| {
-                v.len() == 16
-                    && v.bytes()
-                        .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-            })
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
-            .ok_or_else(|| corrupt("unreadable checksum".to_string()))?;
-        let length: usize = parts
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| corrupt("unreadable payload length".to_string()))?;
-        let payload = &bytes[newline + 1..];
-        if payload.len() != length {
-            return Err(corrupt(format!(
-                "truncated payload ({} of {length} bytes)",
-                payload.len()
-            )));
-        }
-        let actual = fnv1a64(payload);
-        if actual != checksum {
-            return Err(corrupt(format!(
-                "checksum mismatch (header {checksum:016x}, payload {actual:016x})"
-            )));
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| corrupt("payload is not UTF-8".to_string()))?;
-        let value: Value =
-            serde_json::from_str(text).map_err(|e| corrupt(format!("payload is not JSON: {e}")))?;
-        let spec_digest = dec_hex64(&value, "spec_digest")?;
-        let mut completed = BTreeMap::new();
-        for entry in get(&value, "jobs")?
-            .as_array()
-            .ok_or_else(|| corrupt("jobs must be an array".to_string()))?
-        {
-            let index = dec_u64(entry, "index")?;
-            let digest = dec_hex64(entry, "digest")?;
-            let outcome = decode_outcome(get(entry, "outcome")?)?;
-            completed.insert(index, (digest, outcome));
-        }
+        let file: ManifestFile = from_json(open(SWEEP_MAGIC, SWEEP_MANIFEST_VERSION, bytes)?)?;
         Ok(SweepManifest {
             path: PathBuf::new(),
-            spec_digest,
-            completed,
+            spec_digest: file.spec_digest,
+            completed: file
+                .jobs
+                .into_iter()
+                .map(|e| (e.index, (e.digest, e.outcome)))
+                .collect(),
         })
     }
 }
 
-fn dec_hex64(value: &Value, key: &str) -> Result<u64, CoreError> {
-    get(value, key)?
-        .as_str()
-        .filter(|v| v.len() == 16)
-        .and_then(|v| u64::from_str_radix(v, 16).ok())
-        .ok_or_else(|| corrupt(format!("field {key} must be 16 hex digits")))
+/// The manifest's JSON payload.
+#[derive(Serialize, Deserialize)]
+struct ManifestFile {
+    #[serde(with = "hex64")]
+    spec_digest: u64,
+    jobs: Vec<ManifestEntry>,
 }
 
-/// Encodes a possibly full-width `u64`: a plain JSON number while it
-/// is exactly representable, a decimal string beyond 2^53 (the same
-/// convention the checkpoint format uses for plan seeds).
-fn encode_u64_wide(x: u64) -> Result<Value, CoreError> {
-    if x <= (1 << 53) {
-        int(x)
-    } else {
-        Ok(Value::String(x.to_string()))
+/// One completed job in a [`ManifestFile`].
+#[derive(Serialize, Deserialize)]
+struct ManifestEntry {
+    index: u64,
+    #[serde(with = "hex64")]
+    digest: u64,
+    outcome: JobOutcome,
+}
+
+/// Digests as 16 hex digits: a full-width `u64`, which a JSON number
+/// cannot carry exactly.
+mod hex64 {
+    use super::*;
+
+    pub(super) fn serialize(x: &u64) -> Result<Value, Error> {
+        Ok(Value::String(format!("{x:016x}")))
+    }
+
+    pub(super) fn deserialize(v: &Value) -> Result<u64, Error> {
+        v.as_str()
+            .filter(|s| s.len() == 16)
+            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .ok_or_else(|| Error::custom("expected 16 hex digits"))
     }
 }
 
-fn decode_u64_wide(value: &Value) -> Result<u64, CoreError> {
-    if let Some(x) = value.as_u64() {
-        return Ok(x);
+/// A possibly full-width `u64`: a plain JSON number while it is exactly
+/// representable (up to 2^53), a decimal string beyond.
+mod wide_u64 {
+    use super::*;
+
+    pub(super) fn serialize(x: &u64) -> Result<Value, Error> {
+        if *x <= 1 << 53 {
+            x.serialize()
+        } else {
+            Ok(Value::String(x.to_string()))
+        }
     }
-    value
-        .as_str()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| corrupt("seeds must be unsigned integers or decimal strings".to_string()))
+
+    pub(super) fn deserialize(v: &Value) -> Result<u64, Error> {
+        v.as_u64()
+            .or_else(|| v.as_str().and_then(|s| s.parse().ok()))
+            .ok_or_else(|| Error::custom("expected an unsigned integer or decimal string"))
+    }
+}
+
+/// The spec's seed axis, each seed in the [`wide_u64`] form.
+mod wide_seeds {
+    use super::*;
+
+    pub(super) fn serialize(seeds: &[u64]) -> Result<Value, Error> {
+        let seeds = seeds.iter().map(wide_u64::serialize);
+        seeds.collect::<Result<_, _>>().map(Value::Array)
+    }
+
+    pub(super) fn deserialize(v: &Value) -> Result<Vec<u64>, Error> {
+        let seeds = v
+            .as_array()
+            .ok_or_else(|| Error::custom("expected array"))?;
+        seeds.iter().map(wide_u64::deserialize).collect()
+    }
 }
 
 // ---- execution ----------------------------------------------------------
@@ -1127,6 +850,7 @@ where
 mod tests {
     use super::*;
     use cps_field::{GaussianBlob, Static};
+    use proptest::prelude::*;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -1319,6 +1043,125 @@ mod tests {
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(SweepManifest::load(&path, 0xabcd).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The 2-job manifest of `tests/goldens/sweep_manifest_v1.cpsweep`.
+    fn golden_manifest(path: &Path) -> SweepManifest {
+        let spec = tiny_spec();
+        let digest = spec.digest().unwrap();
+        let jobs = spec.jobs();
+        let mut manifest = SweepManifest::create(path, digest).unwrap();
+        let recorded = [
+            JobOutcome {
+                final_delta: 1_234.567_890_123_4,
+                best_delta: Some(1_200.062_5),
+                final_connected: true,
+                alive: 9,
+                deaths: 0,
+                messages: 4242,
+                series: vec![(600.0, 1300.125), (601.0, 1_234.567_890_123_4)],
+            },
+            JobOutcome {
+                final_delta: 0.1 + 0.2,
+                best_delta: None,
+                final_connected: false,
+                alive: 7,
+                deaths: 2,
+                messages: 0,
+                series: vec![],
+            },
+        ];
+        for (i, outcome) in [0, 3].into_iter().zip(recorded) {
+            manifest
+                .record(i, jobs[i as usize].digest(digest), outcome)
+                .unwrap();
+        }
+        manifest
+    }
+
+    const GOLDEN_MANIFEST: &[u8] =
+        include_bytes!("../../../tests/goldens/sweep_manifest_v1.cpsweep");
+
+    #[test]
+    fn v1_manifest_golden_is_reproduced_byte_for_byte() {
+        // Recorded before the codec was derived.
+        let dir = std::env::temp_dir().join(format!("cps_sweep_golden_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("golden.manifest");
+        let manifest = golden_manifest(&path);
+        assert_eq!(fs::read(&path).unwrap(), GOLDEN_MANIFEST);
+        let back = SweepManifest::from_bytes(GOLDEN_MANIFEST).unwrap();
+        assert_eq!(back.spec_digest, manifest.spec_digest);
+        assert_eq!(back.completed(), manifest.completed());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `payload` under a correct manifest header.
+    fn reseal(payload: &[u8]) -> Vec<u8> {
+        let mut out = format!(
+            "{SWEEP_MAGIC} {SWEEP_MANIFEST_VERSION} {:016x} {}\n",
+            fnv1a64(payload),
+            payload.len()
+        )
+        .into_bytes();
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Applies `(position, byte, op)` edits: replace, insert, delete.
+    fn edit(mut bytes: Vec<u8>, edits: Vec<(prop::sample::Index, u8, u8)>) -> Vec<u8> {
+        for (at, byte, op) in edits {
+            let i = at.index(bytes.len());
+            match op {
+                0 => bytes[i] = byte,
+                1 => bytes.insert(i, byte),
+                _ => {
+                    bytes.remove(i);
+                }
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn manifest_decoder_never_panics(
+            bytes in prop::collection::vec(0u8..=255, 0..200),
+            edits in prop::collection::vec((any::<prop::sample::Index>(), 0u8..=255, 0u8..3), 1..6),
+        ) {
+            let payload = GOLDEN_MANIFEST.splitn(2, |&b| b == b'\n').nth(1).unwrap();
+            for bytes in [bytes.clone(), reseal(&bytes), reseal(&edit(payload.to_vec(), edits))] {
+                let result = SweepManifest::from_bytes(&bytes);
+                prop_assert!(
+                    matches!(
+                        result,
+                        Ok(_) | Err(CoreError::SnapshotCorrupt { .. } | CoreError::SnapshotVersion { .. })
+                    ),
+                    "{result:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn spec_decoder_never_panics(
+            bytes in prop::collection::vec(0u8..=255, 0..200),
+            edits in prop::collection::vec((any::<prop::sample::Index>(), 0u8..=255, 0u8..3), 1..6),
+        ) {
+            let spec = tiny_spec().to_json().unwrap().into_bytes();
+            for bytes in [bytes.clone(), edit(spec.clone(), edits.clone())] {
+                let text = String::from_utf8_lossy(&bytes);
+                let result = SweepSpec::from_json(&text);
+                prop_assert!(
+                    matches!(
+                        result,
+                        Ok(_) | Err(CoreError::SnapshotCorrupt { .. } | CoreError::InvalidParameter { .. })
+                    ),
+                    "{result:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -233,9 +233,7 @@ mod tests {
         let mut group = c.benchmark_group("grp");
         group.throughput(Throughput::Elements(4));
         group.sample_size(10);
-        group.bench_with_input(BenchmarkId::new("sq", 4), &4u64, |b, &n| {
-            b.iter(|| n * n)
-        });
+        group.bench_with_input(BenchmarkId::new("sq", 4), &4u64, |b, &n| b.iter(|| n * n));
         group.bench_with_input(BenchmarkId::from_parameter(9), &9u64, |b, &n| {
             b.iter_batched(|| n, |m| m + 1, BatchSize::LargeInput)
         });

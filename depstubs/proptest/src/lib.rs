@@ -172,7 +172,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
@@ -457,10 +457,7 @@ macro_rules! prop_assert_eq {
 macro_rules! prop_assert_ne {
     ($left:expr, $right:expr $(,)?) => {{
         let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(
-            *l != *r,
-            "assertion failed: `{:?}` == `{:?}`", *l, *r
-        );
+        $crate::prop_assert!(*l != *r, "assertion failed: `{:?}` == `{:?}`", *l, *r);
     }};
 }
 
@@ -519,10 +516,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "proptest case")]
     fn failures_name_the_case() {
+        // No `#[test]` on the inner property: it is called directly.
         proptest! {
-            #[test]
             fn always_fails(x in 0.0f64..1.0) {
-                prop_assert!(x < 0.0, "x was {x}");
+                prop_assert!(x.is_sign_negative(), "x was {x}");
             }
         }
         always_fails();

@@ -6,14 +6,60 @@
 //! `Serializer`/`Deserializer` dispatch), this stand-in routes
 //! everything through one concrete JSON-shaped tree, [`__private::Value`]:
 //!
-//! * [`Serialize`] converts a value **to** a [`__private::Value`];
+//! * [`Serialize`] converts a value **to** a [`__private::Value`]. It is
+//!   fallible, as real serde's is: integers beyond 2^53 (which a JSON
+//!   number cannot carry exactly) are an error instead of being rounded.
+//!   An `f64` always serializes to [`Value::Number`](__private::Value),
+//!   so a NaN or infinity stays visible in the tree for the caller to
+//!   reject (the text writer in `serde_json` prints it as `null`);
 //! * [`Deserialize`] reconstructs a value **from** one.
 //!
-//! The `serde_derive` stand-in generates impls of these two traits for
-//! named-field structs and unit-variant enums, and the `serde_json`
-//! stand-in renders/parses the tree as JSON text. The subset is exactly
-//! what this workspace needs: `#[derive(Serialize, Deserialize)]` plus
-//! `serde_json::{to_string, to_string_pretty, from_str, Value}`.
+//! The `serde_derive` stand-in generates impls of these two traits and
+//! the `serde_json` stand-in renders/parses the tree as JSON text.
+//!
+//! # Derive support
+//!
+//! * structs with named fields → JSON objects keyed by field name;
+//! * enums of unit variants → JSON strings holding the variant name;
+//! * enums with named-field variants, given a container `tag` → JSON
+//!   objects carrying the variant name under the tag key.
+//!
+//! Attributes (`#[serde(...)]`):
+//!
+//! | where | attribute | effect |
+//! |-------|-----------|--------|
+//! | enum | `tag = "kind"` | internally tagged: `{"kind": "variant", ...fields}` |
+//! | enum | `rename_all = "lowercase"` | variant names lowercased |
+//! | struct | `default` | a missing or `null` key takes the field of `Default::default()` |
+//! | struct | `deny_unknown_fields` | a key no field names is an error |
+//! | struct, enum | `expecting = "name"` | the name container errors use (default: the type name) |
+//! | field | `rename = "key"` | the JSON key differs from the field name |
+//! | field | `default = "path"` | a missing or `null` key takes `path()` |
+//! | field | `with = "module"` | `module::serialize(&T) -> Result<Value, Error>` and `module::deserialize(&Value) -> Result<T, Error>` replace the field type's impls |
+//!
+//! Anything else — tuple structs, generics (lifetimes included), data
+//! variants without a `tag`, unknown attributes — is a compile error
+//! naming the limitation:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Pair(f64, f64);
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct Wrapper<T> {
+//!     inner: T,
+//! }
+//! ```
+//!
+//! # Errors
+//!
+//! An error names where it happened once. A container (a derived struct
+//! or enum) names itself — `unknown spec key 'kernal'`, `spec must be a
+//! JSON object` — and such an error passes through enclosing fields
+//! unchanged. Any other error is prefixed with the innermost field
+//! that holds it: ``field `time`: expected number``.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -109,17 +155,29 @@ pub mod __private {
         }
     }
 
-    /// Serialization/deserialization failure: a plain message.
+    /// Serialization/deserialization failure: a message, and whether it
+    /// already names where it happened (see the crate docs).
     #[derive(Debug, Clone, PartialEq)]
     pub struct Error {
         message: String,
+        located: bool,
     }
 
     impl Error {
-        /// An error carrying `message`.
+        /// An error carrying `message`; the enclosing field names it.
         pub fn custom(message: impl Into<String>) -> Self {
             Error {
                 message: message.into(),
+                located: false,
+            }
+        }
+
+        /// An error whose `message` already names its place (a derived
+        /// container's own errors); enclosing fields leave it as is.
+        pub fn located(message: impl Into<String>) -> Self {
+            Error {
+                message: message.into(),
+                located: true,
             }
         }
     }
@@ -132,15 +190,22 @@ pub mod __private {
 
     impl std::error::Error for Error {}
 
-    /// Typed lookup of a struct field used by derived `Deserialize`
-    /// impls: a missing key behaves like an explicit `null` (so
-    /// `Option` fields default to `None`).
-    pub fn field<T: crate::Deserialize>(
-        obj: &BTreeMap<String, Value>,
-        key: &str,
-    ) -> Result<T, Error> {
-        T::deserialize(obj.get(key).unwrap_or(&Value::Null))
-            .map_err(|e| Error::custom(format!("field `{key}`: {e}")))
+    /// The value under `key`, treating an explicit `null` like a
+    /// missing key (derived code applies defaults to both).
+    pub fn present<'a>(obj: &'a BTreeMap<String, Value>, key: &str) -> Option<&'a Value> {
+        obj.get(key).filter(|v| !v.is_null())
+    }
+
+    /// Names field `key` in `result`'s error unless it names its own
+    /// place already.
+    pub fn at<T>(key: &str, result: Result<T, Error>) -> Result<T, Error> {
+        result.map_err(|e| {
+            if e.located {
+                e
+            } else {
+                Error::located(format!("field `{key}`: {}", e.message))
+            }
+        })
     }
 }
 
@@ -149,7 +214,12 @@ use __private::{Error, Value};
 /// Conversion to the stand-in's interchange tree (see crate docs).
 pub trait Serialize {
     /// This value as a [`__private::Value`].
-    fn serialize(&self) -> Value;
+    ///
+    /// # Errors
+    ///
+    /// Returns [`__private::Error`] when the value has no exact JSON
+    /// form (an integer beyond 2^53).
+    fn serialize(&self) -> Result<Value, Error>;
 }
 
 /// Reconstruction from the stand-in's interchange tree (see crate
@@ -164,8 +234,8 @@ pub trait Deserialize: Sized {
 }
 
 impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
+    fn serialize(&self) -> Result<Value, Error> {
+        Ok(self.clone())
     }
 }
 
@@ -176,21 +246,20 @@ impl Deserialize for Value {
 }
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self) -> Result<Value, Error> {
+        Ok(Value::Bool(*self))
     }
 }
 
 impl Deserialize for bool {
     fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_bool()
-            .ok_or_else(|| Error::custom("expected boolean"))
+        v.as_bool().ok_or_else(|| Error::custom("expected boolean"))
     }
 }
 
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self) -> Result<Value, Error> {
+        Ok(Value::String(self.clone()))
     }
 }
 
@@ -202,15 +271,9 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::String(self.to_owned())
-    }
-}
-
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::Number(*self)
+    fn serialize(&self) -> Result<Value, Error> {
+        Ok(Value::Number(*self))
     }
 }
 
@@ -220,25 +283,20 @@ impl Deserialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::Number(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .map(|n| n as f32)
-            .ok_or_else(|| Error::custom("expected number"))
-    }
-}
+/// Largest magnitude a JSON number (an `f64`) carries exactly.
+const MAX_EXACT_INT: u128 = 1 << 53;
 
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Number(*self as f64)
+            fn serialize(&self) -> Result<Value, Error> {
+                if (*self as i128).unsigned_abs() <= MAX_EXACT_INT {
+                    Ok(Value::Number(*self as f64))
+                } else {
+                    Err(Error::custom(format!(
+                        "integer {self} exceeds JSON's exact range"
+                    )))
+                }
             }
         }
         impl Deserialize for $t {
@@ -258,10 +316,10 @@ macro_rules! int_impls {
 int_impls!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self) -> Result<Value, Error> {
         match self {
             Some(x) => x.serialize(),
-            None => Value::Null,
+            None => Ok(Value::Null),
         }
     }
 }
@@ -277,8 +335,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self) -> Result<Value, Error> {
+        self.as_slice().serialize()
     }
 }
 
@@ -293,64 +351,35 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize(&self) -> Result<Value, Error> {
+        self.iter()
+            .map(Serialize::serialize)
+            .collect::<Result<_, _>>()
+            .map(Value::Array)
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn serialize(&self) -> Value {
-        Value::Array(vec![self.0.serialize(), self.1.serialize()])
+    fn serialize(&self) -> Result<Value, Error> {
+        Ok(Value::Array(vec![self.0.serialize()?, self.1.serialize()?]))
     }
 }
 
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     fn deserialize(v: &Value) -> Result<Self, Error> {
-        let a = v.as_array().ok_or_else(|| Error::custom("expected array"))?;
-        if a.len() != 2 {
-            return Err(Error::custom("expected 2-element array"));
+        match v.as_array().map(Vec::as_slice) {
+            Some([a, b]) => Ok((A::deserialize(a)?, B::deserialize(b)?)),
+            _ => Err(Error::custom("expected 2-element array")),
         }
-        Ok((A::deserialize(&a[0])?, B::deserialize(&a[1])?))
-    }
-}
-
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn serialize(&self) -> Value {
-        Value::Array(vec![
-            self.0.serialize(),
-            self.1.serialize(),
-            self.2.serialize(),
-        ])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let a = v.as_array().ok_or_else(|| Error::custom("expected array"))?;
-        if a.len() != 3 {
-            return Err(Error::custom("expected 3-element array"));
-        }
-        Ok((
-            A::deserialize(&a[0])?,
-            B::deserialize(&a[1])?,
-            C::deserialize(&a[2])?,
-        ))
     }
 }
 
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.serialize()))
-                .collect(),
-        )
+    fn serialize(&self) -> Result<Value, Error> {
+        self.iter()
+            .map(|(k, v)| Ok((k.clone(), v.serialize()?)))
+            .collect::<Result<_, _>>()
+            .map(Value::Object)
     }
 }
 
@@ -361,5 +390,39 @@ impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
             .iter()
             .map(|(k, x)| Ok((k.clone(), V::deserialize(x)?)))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn integers_beyond_two_to_the_53_do_not_serialize() {
+        assert_eq!(
+            (1u64 << 53).serialize(),
+            Ok(Value::Number(9_007_199_254_740_992.0))
+        );
+        assert_eq!((-(1i64 << 53)).serialize().map(|_| ()), Ok(()));
+        for err in [((1u64 << 53) + 1).serialize(), u64::MAX.serialize()] {
+            assert!(err.unwrap_err().to_string().contains("exact range"));
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_stay_visible_in_the_tree() {
+        let v = f64::NAN.serialize().unwrap();
+        assert!(matches!(v, Value::Number(n) if n.is_nan()));
+    }
+
+    #[test]
+    fn field_errors_are_named_once() {
+        let leaf = __private::at("time", f64::deserialize(&Value::Null));
+        assert_eq!(
+            leaf.unwrap_err().to_string(),
+            "field `time`: expected number"
+        );
+        let own = __private::at::<f64>("region", Err(Error::located("unknown region key 'z'")));
+        assert_eq!(own.unwrap_err().to_string(), "unknown region key 'z'");
     }
 }

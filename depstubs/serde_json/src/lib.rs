@@ -5,7 +5,9 @@
 //! round-trip formatting, so every value survives
 //! `from_str(&to_string(v))` bit-exactly (the real crate's
 //! `float_roundtrip` behaviour); integers round-trip exactly up to
-//! 2^53. Non-finite numbers serialize as `null`, as in the real crate.
+//! 2^53. Non-finite numbers serialize as `null`, as in the real crate,
+//! and a number literal too large for an `f64` (`1e999`) is a parse
+//! error ("number out of range"), never an infinity.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -15,18 +17,15 @@ use std::collections::BTreeMap;
 pub use serde::__private::Error;
 pub use serde::__private::Value;
 
-/// The object representation behind [`Value::Object`].
-pub type Map<K, V> = BTreeMap<K, V>;
-
 /// Serializes `value` as compact JSON.
 ///
 /// # Errors
 ///
-/// Never fails for the shapes the stand-in supports; the `Result` is
-/// kept for call-site compatibility with the real crate.
+/// Returns [`Error`] when [`serde::Serialize::serialize`] fails (an
+/// integer beyond 2^53).
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.serialize(), &mut out, None, 0);
+    write_value(&value.serialize()?, &mut out, None, 0);
     Ok(out)
 }
 
@@ -34,10 +33,10 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
 ///
 /// # Errors
 ///
-/// Never fails (see [`to_string`]).
+/// As [`to_string`].
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.serialize(), &mut out, Some(2), 0);
+    write_value(&value.serialize()?, &mut out, Some(2), 0);
     Ok(out)
 }
 
@@ -147,10 +146,7 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b' ' | b'\t' | b'\n' | b'\r')
-        ) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -319,9 +315,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::custom("invalid number"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Number(n)),
+            Ok(_) => Err(Error::custom("number out of range")),
+            Err(_) => Err(Error::custom(format!("invalid number `{text}`"))),
+        }
     }
 }
 
@@ -332,7 +330,7 @@ mod tests {
     #[test]
     fn value_round_trips() {
         let mut obj = BTreeMap::new();
-        obj.insert("pi".to_string(), Value::Number(3.141592653589793));
+        obj.insert("pi".to_string(), Value::Number(std::f64::consts::PI));
         obj.insert("neg".to_string(), Value::Number(-0.001));
         obj.insert("n".to_string(), Value::Number(12345.0));
         obj.insert("s".to_string(), Value::String("a \"b\"\n\\c".to_string()));
@@ -358,6 +356,16 @@ mod tests {
             let back: f64 = from_str(&text).unwrap();
             assert_eq!(x.to_bits(), back.to_bits(), "{text}");
         }
+    }
+
+    #[test]
+    fn overflowing_numbers_are_out_of_range() {
+        for text in ["1e999", "-1e999", "[0.5, 1e400]"] {
+            let err = from_str::<Value>(text).unwrap_err();
+            assert_eq!(err.to_string(), "number out of range", "{text}");
+        }
+        // Underflow rounds to zero, as in the real crate.
+        assert_eq!(from_str::<f64>("1e-999").unwrap(), 0.0);
     }
 
     #[test]
