@@ -6,8 +6,10 @@
 //! enabled. The disabled path is a strict subset of the enabled path
 //! (one relaxed atomic load vs load + two clock reads + a map update),
 //! so bounding the *enabled* slowdown bounds the disabled overhead from
-//! above. The process exits non-zero when the bound is violated, so CI
-//! can gate on it.
+//! above. The disabled and enabled reps alternate, so machine noise
+//! (another tenant, a frequency step) lands on both sides rather than
+//! on whichever side happened to run during it. The process exits
+//! non-zero when the bound is violated, so CI can gate on it.
 //!
 //! Run with: `cargo run --release -p cps-bench --bin obs_overhead`
 
@@ -26,7 +28,8 @@ const RESOLUTION: usize = 201;
 const WARMUP: usize = 3;
 const REPS: usize = 21;
 
-/// The guard: the enabled-vs-disabled ratio on best-of-N runs. 2% is
+/// The guard: the enabled-vs-disabled ratio on best-of-N runs, the
+/// two sides' reps interleaved. 2% is
 /// the budget ISSUE'd for the whole layer; the measured cost of one
 /// atomic load plus two `Instant::now` calls per ~millisecond quadrature
 /// is orders of magnitude below it, so a trip means a real regression
@@ -38,18 +41,29 @@ const MAX_OVERHEAD: f64 = 1.02;
 /// percent of scheduler jitter that has nothing to do with the hooks.
 const MAX_OVERHEAD_POOLED: f64 = 1.05;
 
-fn best_of<F: FnMut() -> f64>(mut work: F) -> u64 {
+/// Times `work` with observation off and on, alternating the two
+/// settings rep by rep (off, on, off, …) so that a slow patch of the
+/// machine hits both sides alike, and returns the best time of each:
+/// `(disabled_ns, enabled_ns)`. Observation is left disabled.
+fn interleaved_best_of<F: FnMut() -> f64>(mut work: F) -> (u64, u64) {
     for _ in 0..WARMUP {
         std::hint::black_box(work());
     }
-    (0..REPS)
-        .map(|_| {
+    let mut best = [u64::MAX; 2];
+    for _ in 0..REPS {
+        for (side, enabled) in [false, true].into_iter().enumerate() {
+            if enabled {
+                cps_obs::enable();
+            } else {
+                cps_obs::disable();
+            }
             let start = Instant::now();
             std::hint::black_box(work());
-            start.elapsed().as_nanos() as u64
-        })
-        .min()
-        .expect("at least one rep")
+            best[side] = best[side].min(start.elapsed().as_nanos() as u64);
+        }
+    }
+    cps_obs::disable();
+    (best[0], best[1])
 }
 
 fn main() -> ExitCode {
@@ -64,13 +78,9 @@ fn main() -> ExitCode {
     let par = Parallelism::serial();
 
     cps_obs::reset();
-    cps_obs::disable();
-    let disabled_ns = best_of(|| delta::volume_difference_with(&reference, &rebuilt, &grid, par));
-
-    cps_obs::enable();
-    let enabled_ns = best_of(|| delta::volume_difference_with(&reference, &rebuilt, &grid, par));
+    let (disabled_ns, enabled_ns) =
+        interleaved_best_of(|| delta::volume_difference_with(&reference, &rebuilt, &grid, par));
     let metrics = cps_obs::snapshot();
-    cps_obs::disable();
 
     // Sanity: the enabled run must actually have recorded itself.
     let recorded = metrics.phase_total_ns(cps_obs::Phase::DeltaQuadrature);
@@ -97,13 +107,9 @@ fn main() -> ExitCode {
     // also be free when observation is off.
     let pooled = Parallelism::fixed(2);
     cps_obs::reset();
-    cps_obs::disable();
-    let disabled_ns = best_of(|| delta_rms_raster(&reference, &rebuilt, &grid, pooled).delta);
-
-    cps_obs::enable();
-    let enabled_ns = best_of(|| delta_rms_raster(&reference, &rebuilt, &grid, pooled).delta);
+    let (disabled_ns, enabled_ns) =
+        interleaved_best_of(|| delta_rms_raster(&reference, &rebuilt, &grid, pooled).delta);
     let metrics = cps_obs::snapshot();
-    cps_obs::disable();
 
     let recorded = metrics.phase_total_ns(cps_obs::Phase::DeltaRaster);
     assert!(

@@ -6,9 +6,9 @@ use std::path::Path;
 
 use cps_core::osd::FraBuilder;
 use cps_core::{analyze_deployment_with, EvalOptions, SurvivabilityTracker};
-use cps_field::{Field, Parallelism};
+use cps_field::{Field, GridField, Parallelism};
 use cps_geometry::{GridSpec, Point2, Rect};
-use cps_greenorbs::{Channel, Dataset, ForestConfig, LatentLightField};
+use cps_greenorbs::{Channel, Dataset, ForestConfig, LatentLightField, DEFAULT_KERNEL_BANDWIDTH};
 use cps_network::UnitDiskGraph;
 use cps_sim::{
     run_sweep, scenario, CheckpointDir, CheckpointPolicy, CmaBuilder, DeltaTimeline, EngineBuilder,
@@ -55,7 +55,8 @@ commands:
   help      show this text
 
 --threads selects the worker count for grid sweeps (0 = all cores, the
-default); results are identical at any setting.
+default), including the reference-surface smoothing of `plan` and
+`report`; results are identical at any setting.
 
 --optimizer selects the deployment optimizer for `simulate`: `cma` (the
 default) starts from the evenly spaced grid and runs the paper's OSTD
@@ -164,7 +165,7 @@ pub fn plan(args: &Args) -> CmdResult {
         cps_obs::enable();
     }
     let dataset = load_trace(&trace)?;
-    let reference = dataset.region_field(region(), Channel::Light, hour, 101)?;
+    let reference = reference_surface(&dataset, hour, par)?;
     let grid = GridSpec::new(region(), 101, 101)?;
     let result = FraBuilder::new(k, rc)
         .grid(grid)
@@ -513,13 +514,30 @@ pub fn report(args: &Args) -> CmdResult {
     args.finish()?;
 
     let dataset = load_trace(&trace)?;
-    let reference = dataset.region_field(region(), Channel::Light, hour, 101)?;
+    let reference = reference_surface(&dataset, hour, par)?;
     let grid = GridSpec::new(region(), 101, 101)?;
     let positions = read_positions_csv(&plan_path)?;
     println!("{} nodes loaded from {plan_path}", positions.len());
     let report = analyze_deployment_with(&reference, &positions, rc, &grid, par)?;
     print_report(&report);
     Ok(())
+}
+
+/// The 101² light surface `plan` and `report` place against, smoothed
+/// under the `--threads` policy.
+fn reference_surface(
+    dataset: &Dataset,
+    hour: u32,
+    par: Parallelism,
+) -> Result<GridField, Box<dyn Error>> {
+    Ok(dataset.region_field_with_bandwidth(
+        region(),
+        Channel::Light,
+        hour,
+        101,
+        DEFAULT_KERNEL_BANDWIDTH,
+        par,
+    )?)
 }
 
 fn print_report(report: &cps_core::DeploymentReport) {

@@ -177,6 +177,10 @@ impl LocalErrorGrid {
     /// exterior) run the per-cell walk behind a private
     /// [`LocateCursor`], and hull-exterior cells take their nearest
     /// vertex's sample.
+    ///
+    /// The plan covers only the clipped box: a triangle it leaves out
+    /// could claim no cell of the box, so the errors are those a
+    /// whole-grid plan gives.
     pub fn recompute_region(
         &mut self,
         lo: Point2,
@@ -185,18 +189,30 @@ impl LocalErrorGrid {
         samples: &[f64],
         par: Parallelism,
     ) {
-        let (i0, i1, j0, j1) = self.clip_box(lo, hi);
+        let window = self.clip_box(lo, hi);
+        let plan = RasterPlan::build(dt, samples, &self.grid, window);
+        self.refresh(window, &plan, dt, samples, par);
+    }
+
+    /// Recomputes the cells of `window` with the locate-mode fills of
+    /// `plan`, which must cover the window.
+    fn refresh(
+        &mut self,
+        (i0, i1, j0, j1): (usize, usize, usize, usize),
+        plan: &RasterPlan,
+        dt: &Triangulation,
+        samples: &[f64],
+        par: Parallelism,
+    ) {
         self.nearest.sync(dt);
-        let g = self.grid;
-        let plan = RasterPlan::build(dt, samples, &g);
         let cache = dt.locate_cache();
         let sweep = RowSweep {
-            grid: &g,
+            grid: &self.grid,
             reference: &self.reference,
             dt,
             cache: &cache,
             samples,
-            plan: &plan,
+            plan,
             has_triangle: dt.triangle_count() > 0,
         };
         let rows = map_rows(j1 - j0 + 1, par, |r| sweep.row(i0, i1, j0 + r));
@@ -676,6 +692,61 @@ mod tests {
                     );
                 }
                 assert!(same_pick(errs.argmax(&[]), oracle_argmax(&errs, &[])));
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_refreshes_match_whole_grid_plan_refreshes_bitwise() {
+        // Two copies of a growing error grid: one refreshes through
+        // `recompute_region` (a plan of the box alone), the other
+        // refreshes the same box with a plan of the whole grid. Every
+        // error and the argmax must agree bit for bit.
+        let rect = Rect::square(10.0).unwrap();
+        let policies = [
+            Parallelism::serial(),
+            Parallelism::fixed(2),
+            Parallelism::fixed(3),
+            Parallelism::auto(),
+        ];
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(500 + seed);
+            let f = random_field(&mut rng);
+            let n = rng.gen_range(13..41usize);
+            let grid = GridSpec::new(rect, n + 2, n).unwrap();
+            let par = policies[seed as usize % policies.len()];
+            let mut dt = Triangulation::new(rect);
+            let mut zs: Vec<f64> = Vec::new();
+            let mut windowed = LocalErrorGrid::new(grid, &f, &dt, &zs, par);
+            let mut whole = windowed.clone();
+            for step in 0..24 {
+                let mut p = Point2::new(rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0));
+                if step % 3 == 0 {
+                    let (i, j) = grid.nearest_index(p);
+                    p = grid.point(i, j);
+                }
+                if dt.insert(p).is_err() {
+                    continue;
+                }
+                zs.push(f.value(p));
+                windowed.mark_used(p);
+                whole.mark_used(p);
+                let a = Point2::new(rng.gen_range(-1.0..11.0), rng.gen_range(-1.0..11.0));
+                let b = Point2::new(rng.gen_range(-1.0..11.0), rng.gen_range(-1.0..11.0));
+                let lo = Point2::new(a.x.min(b.x), a.y.min(b.y));
+                let hi = Point2::new(a.x.max(b.x), a.y.max(b.y));
+                windowed.recompute_region(lo, hi, &dt, &zs, par);
+                let whole_grid = (0, grid.nx() - 1, 0, grid.ny() - 1);
+                let plan = RasterPlan::build(&dt, &zs, &grid, whole_grid);
+                whole.refresh(whole.clip_box(lo, hi), &plan, &dt, &zs, par);
+                for (idx, (a, b)) in windowed.errors.iter().zip(&whole.errors).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "seed {seed} step {step} cell {idx}"
+                    );
+                }
+                assert!(same_pick(windowed.argmax(&[]), whole.argmax(&[])));
             }
         }
     }

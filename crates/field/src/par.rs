@@ -19,6 +19,7 @@
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
+use std::sync::OnceLock;
 use std::thread;
 
 /// Row counts below this stay serial under [`Parallelism::auto`].
@@ -35,8 +36,8 @@ const CHUNKS_PER_WORKER: usize = 4;
 
 /// Thread-count policy for the parallel evaluation engine.
 ///
-/// The default asks the OS via [`std::thread::available_parallelism`];
-/// [`Parallelism::serial`] pins everything to the calling thread, and
+/// The default asks the OS via [`std::thread::available_parallelism`],
+/// once per process; [`Parallelism::serial`] pins everything to the calling thread, and
 /// [`Parallelism::fixed`] requests an exact worker count. Results of
 /// the engine are bit-identical across all of these — the policy only
 /// changes wall-clock time.
@@ -60,7 +61,8 @@ pub struct Parallelism {
 }
 
 impl Parallelism {
-    /// Uses [`std::thread::available_parallelism`] at execution time.
+    /// Uses [`std::thread::available_parallelism`], resolved on first
+    /// use and then fixed for the life of the process.
     pub fn auto() -> Self {
         Parallelism { requested: 0 }
     }
@@ -87,12 +89,10 @@ impl Parallelism {
         }
     }
 
-    /// The effective worker count this policy resolves to right now.
+    /// The effective worker count this policy resolves to.
     pub fn threads(&self) -> usize {
         if self.requested == 0 {
-            thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
+            available_cores()
         } else {
             self.requested
         }
@@ -115,6 +115,18 @@ impl Parallelism {
     pub fn is_serial(&self) -> bool {
         self.threads() <= 1
     }
+}
+
+/// The OS's core count, asked once per process: the query reads the
+/// cgroup quota files on Linux, which costs tens of microseconds, and
+/// `auto` batches ask on every call.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 impl Default for Parallelism {
@@ -192,6 +204,10 @@ mod tests {
         assert_eq!(Parallelism::fixed(3).threads(), 3);
         assert_eq!(Parallelism::fixed(0).threads(), 1);
         assert!(Parallelism::auto().threads() >= 1);
+        // `auto` resolves to the OS's count, once: every call agrees.
+        let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(Parallelism::auto().threads(), cores);
+        assert_eq!(Parallelism::auto().threads(), available_cores());
         assert_eq!(Parallelism::default(), Parallelism::auto());
         assert_eq!(Parallelism::from_threads(0), Parallelism::auto());
         assert_eq!(Parallelism::from_threads(5), Parallelism::fixed(5));

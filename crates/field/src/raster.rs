@@ -56,34 +56,76 @@ struct PlanTri {
     za: f64,
 }
 
-/// A rasterization plan: every alive triangle planed once and bucketed
-/// by the grid rows it crosses. Building is `O(tris + ny)`; each fill
-/// touches only the triangles crossing its row.
+/// A rasterization plan: the alive triangles near a cell window of the
+/// grid, each planed once and bucketed by the window rows it crosses.
+/// Building is `O(tris + rows)`; each fill touches only the triangles
+/// crossing its row.
 ///
-/// The plan is a pure function of `(triangulation, samples, grid)` —
-/// it holds no cursor or other call-history state — so every fill from
-/// the same plan is deterministic regardless of thread interleaving.
+/// The plan is a pure function of `(triangulation, samples, grid,
+/// window)` — it holds no cursor or other call-history state — so
+/// every fill from the same plan is deterministic regardless of thread
+/// interleaving.
 #[derive(Debug, Clone)]
 pub struct RasterPlan {
     grid: GridSpec,
+    /// The inclusive cell window `(i0, i1, j0, j1)` the plan covers.
+    window: (usize, usize, usize, usize),
     tris: Vec<PlanTri>,
-    /// Indices into `tris` for each grid row.
-    rows: Vec<Vec<u32>>,
+    /// Indices into `tris` crossing window row `j0 + r`, ascending:
+    /// `members[starts[r]..starts[r + 1]]`.
+    members: Vec<u32>,
+    starts: Vec<usize>,
 }
 
 impl RasterPlan {
-    /// Planes every alive triangle of `dt` (lifted by `samples`) and
-    /// clips it to the rows of `grid`.
+    /// Planes the alive triangles of `dt` (lifted by `samples`) that
+    /// can reach the inclusive cell window `(i0, i1, j0, j1)` of
+    /// `grid`, and clips each to the window rows it crosses. The δ
+    /// quadrature passes the whole grid; an error refresh passes its
+    /// box.
+    ///
+    /// A triangle whose bounding box, padded by one cell, misses the
+    /// window is left out: a span is an exact edge crossing, within a
+    /// rounding step of the box, so no span of it reaches a window cell.
+    /// The fills over the window are therefore those of the whole-grid
+    /// plan, with the triangles renumbered.
     ///
     /// Triangles whose plane gradient is non-finite (degenerate or
-    /// fp-catastrophic slivers) are left out of the plan; the cells
+    /// fp-catastrophic slivers) are left out of the plan too; the cells
     /// under them simply fall back to per-cell location.
-    pub fn build(dt: &Triangulation, samples: &[f64], grid: &GridSpec) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics when the window is empty or reaches past the grid.
+    pub fn build(
+        dt: &Triangulation,
+        samples: &[f64],
+        grid: &GridSpec,
+        window: (usize, usize, usize, usize),
+    ) -> Self {
+        let (i0, i1, j0, j1) = window;
+        assert!(
+            i0 <= i1 && i1 < grid.nx() && j0 <= j1 && j1 < grid.ny(),
+            "raster window {window:?} is not inside the {}×{} grid",
+            grid.nx(),
+            grid.ny()
+        );
         let mut tris: Vec<PlanTri> = Vec::new();
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); grid.ny()];
-        let oy = grid.rect().min().y;
-        let dy = grid.dy();
+        // Each plan triangle's inclusive range of window rows.
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        let (ox, oy) = (grid.rect().min().x, grid.rect().min().y);
+        let (dx, dy) = (grid.dx(), grid.dy());
+        // The window's outermost cell centres, one cell further out.
+        let (wx0, wx1) = (ox + dx * (i0 as f64 - 1.0), ox + dx * (i1 as f64 + 1.0));
+        let (wy0, wy1) = (oy + dy * (j0 as f64 - 1.0), oy + dy * (j1 as f64 + 1.0));
         dt.for_each_triangle(|ids, geom| {
+            let xmin = geom.a.x.min(geom.b.x).min(geom.c.x);
+            let xmax = geom.a.x.max(geom.b.x).max(geom.c.x);
+            let ymin = geom.a.y.min(geom.b.y).min(geom.c.y);
+            let ymax = geom.a.y.max(geom.b.y).max(geom.c.y);
+            if xmax < wx0 || xmin > wx1 || ymax < wy0 || ymin > wy1 {
+                return;
+            }
             let e1x = geom.b.x - geom.a.x;
             let e1y = geom.b.y - geom.a.y;
             let e2x = geom.c.x - geom.a.x;
@@ -96,12 +138,13 @@ impl RasterPlan {
             if !(gx.is_finite() && gy.is_finite()) {
                 return;
             }
-            let ymin = geom.a.y.min(geom.b.y).min(geom.c.y);
-            let ymax = geom.a.y.max(geom.b.y).max(geom.c.y);
-            let Some((j0, j1)) = span_cells(ymin, ymax, oy, dy, grid.ny()) else {
+            let Some((r0, r1)) = span_cells(ymin, ymax, oy, dy, grid.ny()) else {
                 return;
             };
-            let t = tris.len() as u32;
+            let (r0, r1) = (r0.max(j0), r1.min(j1));
+            if r0 > r1 {
+                return;
+            }
             tris.push(PlanTri {
                 geom,
                 ids,
@@ -109,15 +152,33 @@ impl RasterPlan {
                 gy,
                 za: samples[ids[0].0],
             });
-            for row in &mut rows[j0..=j1] {
-                row.push(t);
-            }
+            spans.push((r0 - j0, r1 - j0));
         });
+        // Bucket the triangles by row, in plan order.
+        let mut starts = vec![0usize; j1 - j0 + 2];
+        for &(r0, r1) in &spans {
+            for count in &mut starts[r0 + 1..=r1 + 1] {
+                *count += 1;
+            }
+        }
+        for r in 1..starts.len() {
+            starts[r] += starts[r - 1];
+        }
+        let mut next = starts.clone();
+        let mut members = vec![0u32; starts[starts.len() - 1]];
+        for (t, &(r0, r1)) in spans.iter().enumerate() {
+            for slot in &mut next[r0..=r1] {
+                members[*slot] = t as u32;
+                *slot += 1;
+            }
+        }
         cps_obs::count_by(cps_obs::Counter::TrianglesRasterized, tris.len() as u64);
         RasterPlan {
             grid: *grid,
+            window,
             tris,
-            rows,
+            members,
+            starts,
         }
     }
 
@@ -137,17 +198,28 @@ impl RasterPlan {
         (s <= e).then_some((s, e))
     }
 
+    /// The plan triangles crossing row `j` of the window.
+    fn row(&self, j: usize) -> &[u32] {
+        let (_, _, j0, j1) = self.window;
+        assert!(
+            (j0..=j1).contains(&j),
+            "row {j} is outside the raster window"
+        );
+        &self.members[self.starts[j - j0]..self.starts[j - j0 + 1]]
+    }
+
     /// Value mode: overwrites `out[i]` with the plane height for every
     /// cell `i` of row `j` claimed by a span, leaving unclaimed slots
     /// untouched (callers pre-fill with NaN). Returns the number of
     /// cells written (with multiplicity, which only differs on fp-exact
-    /// edge crossings).
+    /// edge crossings). Cells outside the window's columns may be left
+    /// unclaimed.
     pub fn fill_row_values(&self, j: usize, out: &mut [f64]) -> usize {
         debug_assert_eq!(out.len(), self.grid.nx());
         let y = self.grid.point(0, j).y;
         let dx = self.grid.dx();
         let mut claimed = 0;
-        for &t in &self.rows[j] {
+        for &t in self.row(j) {
             let Some((s, e)) = self.row_cells(t, j, 0, out.len() - 1) else {
                 continue;
             };
@@ -172,8 +244,9 @@ impl RasterPlan {
     /// Returns the number of cells claimed.
     pub fn fill_row_owners(&self, j: usize, i0: usize, i1: usize, out: &mut [u32]) -> usize {
         debug_assert_eq!(out.len(), i1 - i0 + 1);
+        debug_assert!(self.window.0 <= i0 && i1 <= self.window.1);
         let mut claimed = 0;
-        for &t in &self.rows[j] {
+        for &t in self.row(j) {
             let Some((s, e)) = self.row_cells(t, j, i0, i1) else {
                 continue;
             };
@@ -240,7 +313,12 @@ pub fn delta_rms_raster<F: Field + Sync>(
         cps_obs::Phase::DeltaRaster,
         par.effective_workers(grid.ny()),
     );
-    let plan = RasterPlan::build(surface.triangulation(), surface.samples(), grid);
+    let plan = RasterPlan::build(
+        surface.triangulation(),
+        surface.samples(),
+        grid,
+        (0, grid.nx() - 1, 0, grid.ny() - 1),
+    );
     let nx = grid.nx();
     let xs: Vec<f64> = (0..nx).map(|i| grid.point(i, 0).x).collect();
     let rows = map_rows(grid.ny(), par, |j| {
@@ -367,7 +445,7 @@ mod tests {
         let grid = GridSpec::new(region, 61, 61).unwrap();
         let dt = surface.triangulation();
         let samples = surface.samples();
-        let plan = RasterPlan::build(dt, samples, &grid);
+        let plan = RasterPlan::build(dt, samples, &grid, (0, 60, 0, 60));
         let mut owners = vec![NO_OWNER; grid.nx()];
         let mut verified = 0usize;
         for j in 0..grid.ny() {
@@ -391,6 +469,58 @@ mod tests {
         assert!(
             verified > grid.len() / 2,
             "locate mode should claim most interior cells, got {verified}"
+        );
+    }
+
+    #[test]
+    fn windowed_plans_claim_what_the_whole_grid_plan_claims() {
+        // On random windows, a windowed plan's locate-mode owners are
+        // the whole-grid plan's, up to renumbering: the same cells are
+        // claimed, and each interpolates to the same bits.
+        for seed in 0..12u64 {
+            let (region, _reference, surface) = scattered_surface(20 + 10 * seed as usize, seed);
+            let grid = GridSpec::new(region, 61, 53).unwrap();
+            let (dt, samples) = (surface.triangulation(), surface.samples());
+            let whole = RasterPlan::build(dt, samples, &grid, (0, 60, 0, 52));
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            for _ in 0..20 {
+                let (a, b) = (rng.gen_range(0..grid.nx()), rng.gen_range(0..grid.nx()));
+                let (c, d) = (rng.gen_range(0..grid.ny()), rng.gen_range(0..grid.ny()));
+                let window = (a.min(b), a.max(b), c.min(d), c.max(d));
+                let (i0, i1, j0, j1) = window;
+                let plan = RasterPlan::build(dt, samples, &grid, window);
+                assert!(plan.triangle_count() <= whole.triangle_count());
+                for j in j0..=j1 {
+                    let mut got = vec![NO_OWNER; i1 - i0 + 1];
+                    let mut want = got.clone();
+                    let claimed = plan.fill_row_owners(j, i0, i1, &mut got);
+                    assert_eq!(claimed, whole.fill_row_owners(j, i0, i1, &mut want));
+                    for (k, (&o, &w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(o == NO_OWNER, w == NO_OWNER, "{window:?} cell {k} row {j}");
+                        let p = grid.point(i0 + k, j);
+                        let value = |plan: &RasterPlan, o| {
+                            plan.interpolate_owned(o, p, samples).map(f64::to_bits)
+                        };
+                        assert_eq!(value(&plan, o), value(&whole, w));
+                    }
+                }
+            }
+            // A one-cell window plans only the triangles near that cell.
+            let corner = RasterPlan::build(dt, samples, &grid, (0, 0, 0, 0));
+            assert!(corner.triangle_count() < whole.triangle_count());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "raster window")]
+    fn windows_past_the_grid_are_rejected() {
+        let (region, _reference, surface) = scattered_surface(10, 1);
+        let grid = GridSpec::new(region, 11, 11).unwrap();
+        RasterPlan::build(
+            surface.triangulation(),
+            surface.samples(),
+            &grid,
+            (0, 11, 0, 10),
         );
     }
 }

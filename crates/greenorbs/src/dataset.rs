@@ -1,12 +1,12 @@
 //! The queryable sensing dataset.
 
-use cps_field::{GridField, KeyframeField};
+use cps_field::{GridField, KeyframeField, Parallelism};
 use cps_geometry::{GridSpec, Point2, Rect};
 use serde::{Deserialize, Serialize};
 
 use crate::generator::{self, ForestConfig};
 use crate::records::{Channel, NodeMeta, SensorReading};
-use crate::smooth::KernelSmoother;
+use crate::smooth::smooth_grid;
 use crate::TraceError;
 
 /// Default Gaussian kernel bandwidth (metres) used to smooth scattered
@@ -122,6 +122,13 @@ impl Dataset {
     /// algorithms. Terms too small to change the kernel sums are
     /// skipped; the result is bit-identical to summing every reading.
     ///
+    /// Grid rows are smoothed on the worker pool under
+    /// [`Parallelism::auto`] (one worker per core, serial below
+    /// [`cps_field::par::AUTO_SERIAL_CUTOFF`] rows). Every grid point is
+    /// summed on its own, in reading order, so the field is
+    /// bit-identical at every thread count; pass another policy through
+    /// [`Dataset::region_field_with_bandwidth`].
+    ///
     /// # Errors
     ///
     /// * [`TraceError::HourOutOfRange`] — hour beyond the trace.
@@ -141,15 +148,18 @@ impl Dataset {
             hour,
             resolution,
             DEFAULT_KERNEL_BANDWIDTH,
+            Parallelism::auto(),
         )
     }
 
-    /// [`Dataset::region_field`] with an explicit kernel bandwidth.
+    /// [`Dataset::region_field`] with an explicit kernel bandwidth and
+    /// thread policy.
     ///
     /// Larger bandwidths trade spatial detail for noise suppression;
     /// the OSTD experiments use a wider kernel than the default so the
     /// Gaussian-curvature signal reflects terrain rather than
-    /// sensor-noise texture.
+    /// sensor-noise texture. `par` only changes wall-clock time: the
+    /// field is bit-identical under every policy.
     ///
     /// # Errors
     ///
@@ -163,6 +173,7 @@ impl Dataset {
         hour: u32,
         resolution: usize,
         bandwidth: f64,
+        par: Parallelism,
     ) -> Result<GridField, TraceError> {
         if !(bandwidth.is_finite() && bandwidth > 0.0) {
             return Err(TraceError::InvalidBandwidth { bandwidth });
@@ -185,9 +196,12 @@ impl Dataset {
         }
         let grid =
             GridSpec::new(region, resolution, resolution).map_err(cps_field::FieldError::from)?;
-        let mut smoother = KernelSmoother::new(&local, bandwidth, region);
-        let field = GridField::from_fn(grid, |p| smoother.value(p));
-        Ok(field)
+        // `from_fn` visits the grid points in the same row-major order
+        // `smooth_grid` returns them in.
+        let mut values = smooth_grid(&local, bandwidth, &grid, par).into_iter();
+        Ok(GridField::from_fn(grid, |_| {
+            values.next().expect("one value per grid point")
+        }))
     }
 
     /// Builds a time-varying field from consecutive hourly snapshots,
@@ -211,11 +225,12 @@ impl Dataset {
             hour_range,
             resolution,
             DEFAULT_KERNEL_BANDWIDTH,
+            Parallelism::auto(),
         )
     }
 
-    /// [`Dataset::keyframe_field`] with an explicit kernel bandwidth
-    /// (see [`Dataset::region_field_with_bandwidth`]).
+    /// [`Dataset::keyframe_field`] with an explicit kernel bandwidth and
+    /// thread policy (see [`Dataset::region_field_with_bandwidth`]).
     ///
     /// # Errors
     ///
@@ -227,11 +242,12 @@ impl Dataset {
         hour_range: std::ops::Range<u32>,
         resolution: usize,
         bandwidth: f64,
+        par: Parallelism,
     ) -> Result<KeyframeField, TraceError> {
         let mut frames = Vec::new();
         for hour in hour_range {
-            let f =
-                self.region_field_with_bandwidth(region, channel, hour, resolution, bandwidth)?;
+            let f = self
+                .region_field_with_bandwidth(region, channel, hour, resolution, bandwidth, par)?;
             frames.push((60.0 * hour as f64, f));
         }
         Ok(KeyframeField::new(frames)?)
@@ -324,7 +340,14 @@ mod tests {
                 for (r, &region) in regions.iter().enumerate() {
                     let bandwidth = [1.5, 4.0, 7.0][(case + r) % 3];
                     let f = d
-                        .region_field_with_bandwidth(region, channel, hour, 41, bandwidth)
+                        .region_field_with_bandwidth(
+                            region,
+                            channel,
+                            hour,
+                            41,
+                            bandwidth,
+                            Parallelism::serial(),
+                        )
                         .unwrap();
                     let expanded = region.expanded(3.0 * bandwidth);
                     let local: Vec<(Point2, f64)> = d
@@ -362,7 +385,14 @@ mod tests {
         let d = small_dataset();
         let region = Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap();
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let got = d.region_field_with_bandwidth(region, Channel::Light, 10, 11, bad);
+            let got = d.region_field_with_bandwidth(
+                region,
+                Channel::Light,
+                10,
+                11,
+                bad,
+                Parallelism::auto(),
+            );
             match got {
                 Err(TraceError::InvalidBandwidth { bandwidth }) => {
                     assert_eq!(bandwidth.to_bits(), bad.to_bits())
@@ -371,8 +401,42 @@ mod tests {
             }
         }
         assert!(d
-            .region_field_with_bandwidth(region, Channel::Light, 10, 11, 1e-3)
+            .region_field_with_bandwidth(region, Channel::Light, 10, 11, 1e-3, Parallelism::auto())
             .is_ok());
+    }
+
+    #[test]
+    fn region_fields_are_bitwise_equal_across_thread_policies() {
+        // The default resolution shards 101 rows, above the auto
+        // cutoff; 41 rows stay serial under auto but not under fixed.
+        let d = small_dataset();
+        let region = Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap();
+        for (resolution, bandwidth, hour) in [(101, 4.0, 10), (41, 1.5, 2), (101, 9.0, 13)] {
+            let field = |par| {
+                d.region_field_with_bandwidth(
+                    region,
+                    Channel::Light,
+                    hour,
+                    resolution,
+                    bandwidth,
+                    par,
+                )
+                .unwrap()
+            };
+            let bits = |f: &GridField| f.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let want = bits(&field(Parallelism::serial()));
+            for par in [
+                Parallelism::fixed(2),
+                Parallelism::fixed(3),
+                Parallelism::auto(),
+            ] {
+                assert_eq!(
+                    bits(&field(par)),
+                    want,
+                    "{resolution}² h = {bandwidth} with {par:?}"
+                );
+            }
+        }
     }
 
     #[test]

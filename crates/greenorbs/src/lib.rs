@@ -49,7 +49,7 @@ mod records;
 mod smooth;
 mod stats;
 
-pub use dataset::Dataset;
+pub use dataset::{Dataset, DEFAULT_KERNEL_BANDWIDTH};
 pub use error::TraceError;
 pub use generator::{ForestConfig, LatentLightField};
 pub use records::{Channel, NodeMeta, SensorReading};

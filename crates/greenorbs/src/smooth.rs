@@ -47,8 +47,17 @@
 //!
 //! A negative or non-finite reading breaks step 3, so such a reading set
 //! is always summed in full.
+//!
+//! # Why the grid sweep shards bit-identically
+//!
+//! Every block list is built once, when the smoother is made, so a
+//! query only reads shared state. A grid point's value depends on that
+//! point alone and is summed in index order whichever thread asks, so
+//! [`smooth_grid`] hands grid rows to the pool and every bit stays the
+//! same at every thread count.
 
-use cps_geometry::{Point2, Rect};
+use cps_field::par::{map_rows, Parallelism};
+use cps_geometry::{GridSpec, Point2, Rect};
 
 /// Reach, in bandwidths, beyond which a term is dropped once the sums
 /// are large enough (`exp(−50) ≈ 2·10⁻²²`). Any reach is exact; this
@@ -80,19 +89,31 @@ struct Pruning {
     block: f64,
     nbx: usize,
     nby: usize,
-    /// Squared distance from a block within which a reading is listed.
-    list_reach2: f64,
     /// Half the slack the lists are built with: the tolerance for a
     /// query to count as inside a block.
     tolerance: f64,
-    /// The block row whose lists are built. Grid sweeps visit the block
-    /// rows in order, so each row's lists are built once and only one
-    /// row's lists are held at a time.
-    row: Option<usize>,
-    /// Candidate reading indices of block `bx` in that row, ascending:
-    /// `candidates[starts[bx]..starts[bx + 1]]`.
+    /// Candidate reading indices of block `b = by·nbx + bx`, ascending:
+    /// `candidates[starts[b]..starts[b + 1]]`.
     candidates: Vec<u32>,
     starts: Vec<usize>,
+}
+
+/// Smooths `readings` onto every point of `grid` (the smoother's
+/// region is `grid.rect()`), in row-major order, with the rows sharded
+/// over `par`'s pool workers. Bit-identical at every thread count.
+pub(crate) fn smooth_grid(
+    readings: &[(Point2, f64)],
+    bandwidth: f64,
+    grid: &GridSpec,
+    par: Parallelism,
+) -> Vec<f64> {
+    let smoother = KernelSmoother::new(readings, bandwidth, grid.rect());
+    map_rows(grid.ny(), par, |j| {
+        (0..grid.nx())
+            .map(|i| smoother.value(grid.point(i, j)))
+            .collect::<Vec<f64>>()
+    })
+    .concat()
 }
 
 impl<'a> KernelSmoother<'a> {
@@ -111,7 +132,7 @@ impl<'a> KernelSmoother<'a> {
 
     /// The smoothed value at `p`; far from every reading (`den` at most
     /// 1e-300), the nearest reading's value.
-    pub(crate) fn value(&mut self, p: Point2) -> f64 {
+    pub(crate) fn value(&self, p: Point2) -> f64 {
         let (readings, two_h2) = (self.readings, self.two_h2);
         let term = |q: Point2, z: f64, num: &mut f64, den: &mut f64| {
             let w = (-p.distance_squared(q) / two_h2).exp();
@@ -121,8 +142,8 @@ impl<'a> KernelSmoother<'a> {
         let (mut num, mut den) = (0.0, 0.0);
         match self
             .pruning
-            .as_mut()
-            .and_then(|pr| pr.candidates_at(readings, p))
+            .as_ref()
+            .and_then(|pr| Some((pr, pr.candidates_at(p)?)))
         {
             Some((pr, list)) => {
                 // Phase 1: the plain loop until the floors are reached.
@@ -172,26 +193,45 @@ impl Pruning {
         let extent = region.width().max(region.height());
         let block = (2.0 * bandwidth).max(extent / MAX_BLOCKS_PER_AXIS as f64);
         let blocks_along = |len: f64| ((len / block).ceil() as usize).clamp(1, MAX_BLOCKS_PER_AXIS);
+        let (nbx, nby) = (blocks_along(region.width()), blocks_along(region.height()));
         let slack = 1e-3 * reach;
+        let list_reach2 = (reach + slack) * (reach + slack);
+        // Every block lists the readings within the list reach of it.
+        let origin = region.min();
+        let mut candidates = Vec::new();
+        let mut starts = Vec::with_capacity(nbx * nby + 1);
+        starts.push(0);
+        for by in 0..nby {
+            let y0 = origin.y + block * by as f64;
+            for bx in 0..nbx {
+                let x0 = origin.x + block * bx as f64;
+                for (k, &(q, _)) in readings.iter().enumerate() {
+                    let dx = (x0 - q.x).max(q.x - (x0 + block)).max(0.0);
+                    let dy = (y0 - q.y).max(q.y - (y0 + block)).max(0.0);
+                    if dx * dx + dy * dy <= list_reach2 {
+                        candidates.push(k as u32);
+                    }
+                }
+                starts.push(candidates.len());
+            }
+        }
         Pruning {
             cut,
             den_floor: w_max * quarter_ulp,
             num_floor: 2.0 * w_max * z_max * quarter_ulp,
-            origin: region.min(),
+            origin,
             block,
-            nbx: blocks_along(region.width()),
-            nby: blocks_along(region.height()),
-            list_reach2: (reach + slack) * (reach + slack),
+            nbx,
+            nby,
             tolerance: 0.5 * slack,
-            row: None,
-            candidates: Vec::new(),
-            starts: Vec::new(),
+            candidates,
+            starts,
         }
     }
 
     /// The candidate list of the block holding `p`, or `None` when `p`
     /// lies outside every block (or is NaN).
-    fn candidates_at(&mut self, readings: &[(Point2, f64)], p: Point2) -> Option<(&Self, &[u32])> {
+    fn candidates_at(&self, p: Point2) -> Option<&[u32]> {
         let axis = |v: f64, o: f64, n: usize| {
             let b = ((v - o) / self.block).floor().clamp(0.0, (n - 1) as f64) as usize;
             let lo = o + self.block * b as f64;
@@ -200,32 +240,8 @@ impl Pruning {
         };
         let bx = axis(p.x, self.origin.x, self.nbx)?;
         let by = axis(p.y, self.origin.y, self.nby)?;
-        if self.row != Some(by) {
-            self.build_row(readings, by);
-        }
-        let this = &*self;
-        Some((this, &this.candidates[this.starts[bx]..this.starts[bx + 1]]))
-    }
-
-    /// Lists, for every block of block row `by`, the readings within
-    /// the list reach of the block.
-    fn build_row(&mut self, readings: &[(Point2, f64)], by: usize) {
-        self.candidates.clear();
-        self.starts.clear();
-        self.starts.push(0);
-        let y0 = self.origin.y + self.block * by as f64;
-        for bx in 0..self.nbx {
-            let x0 = self.origin.x + self.block * bx as f64;
-            for (k, &(q, _)) in readings.iter().enumerate() {
-                let dx = (x0 - q.x).max(q.x - (x0 + self.block)).max(0.0);
-                let dy = (y0 - q.y).max(q.y - (y0 + self.block)).max(0.0);
-                if dx * dx + dy * dy <= self.list_reach2 {
-                    self.candidates.push(k as u32);
-                }
-            }
-            self.starts.push(self.candidates.len());
-        }
-        self.row = Some(by);
+        let b = by * self.nbx + bx;
+        Some(&self.candidates[self.starts[b]..self.starts[b + 1]])
     }
 }
 
@@ -233,6 +249,16 @@ impl Pruning {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The thread policies every grid sweep must agree across.
+    fn policies() -> [Parallelism; 4] {
+        [
+            Parallelism::serial(),
+            Parallelism::fixed(2),
+            Parallelism::fixed(3),
+            Parallelism::auto(),
+        ]
+    }
 
     /// The plain loop the smoother must reproduce bit for bit.
     fn naive(readings: &[(Point2, f64)], bandwidth: f64, p: Point2) -> f64 {
@@ -255,6 +281,36 @@ mod tests {
         }
     }
 
+    /// `smooth_grid` under every policy equals the plain loop at every
+    /// grid point, bit for bit (NaN payloads included).
+    fn assert_grid_matches_naive(readings: &[(Point2, f64)], bandwidth: f64, grid: &GridSpec) {
+        let want: Vec<u64> = grid
+            .iter()
+            .map(|(_, _, p)| naive(readings, bandwidth, p).to_bits())
+            .collect();
+        for par in policies() {
+            let got: Vec<u64> = smooth_grid(readings, bandwidth, grid, par)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want, "h = {bandwidth} with {par:?}");
+        }
+    }
+
+    fn random_readings(rng: &mut StdRng, n: usize, seed: u64) -> Vec<(Point2, f64)> {
+        (0..n)
+            .map(|_| {
+                let q = Point2::new(rng.gen_range(-10.0..70.0), rng.gen_range(-10.0..50.0));
+                let z = match seed % 3 {
+                    0 => rng.gen_range(0.0..5.0),
+                    1 => rng.gen_range(0.0..1e4) * rng.gen_range(0.0..1.0),
+                    _ => 0.0,
+                };
+                (q, z)
+            })
+            .collect()
+    }
+
     #[test]
     fn pruned_sums_match_the_plain_loop_bitwise() {
         let region = Rect::new(Point2::new(0.0, 0.0), Point2::new(60.0, 40.0)).unwrap();
@@ -262,18 +318,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = [1, 3, 40, 400][seed as usize % 4];
             let bandwidth = [0.3, 1.0, 2.5, 4.0, 9.0][seed as usize % 5];
-            let readings: Vec<(Point2, f64)> = (0..n)
-                .map(|_| {
-                    let q = Point2::new(rng.gen_range(-10.0..70.0), rng.gen_range(-10.0..50.0));
-                    let z = match seed % 3 {
-                        0 => rng.gen_range(0.0..5.0),
-                        1 => rng.gen_range(0.0..1e4) * rng.gen_range(0.0..1.0),
-                        _ => 0.0,
-                    };
-                    (q, z)
-                })
-                .collect();
-            let mut smoother = KernelSmoother::new(&readings, bandwidth, region);
+            let readings = random_readings(&mut rng, n, seed);
+            let smoother = KernelSmoother::new(&readings, bandwidth, region);
             assert!(smoother.pruning.is_some());
             for _ in 0..300 {
                 let p = Point2::new(rng.gen_range(-1.0..61.0), rng.gen_range(-1.0..41.0));
@@ -287,13 +333,29 @@ mod tests {
     }
 
     #[test]
+    fn sharded_grids_match_the_plain_loop_bitwise() {
+        // Random traces, bandwidths and grid shapes (rows below and
+        // above the pool's auto cutoff), swept under every policy.
+        let region = Rect::new(Point2::new(0.0, 0.0), Point2::new(60.0, 40.0)).unwrap();
+        for seed in 0..16u64 {
+            let mut rng = StdRng::seed_from_u64(100 + seed);
+            let n = [1, 3, 40, 400][seed as usize % 4];
+            let bandwidth = [0.3, 1.0, 2.5, 4.0, 9.0][seed as usize % 5];
+            let readings = random_readings(&mut rng, n, seed);
+            let (nx, ny) = [(7, 5), (31, 23), (25, 70)][seed as usize % 3];
+            let grid = GridSpec::new(region, nx, ny).unwrap();
+            assert_grid_matches_naive(&readings, bandwidth, &grid);
+        }
+    }
+
+    #[test]
     fn sparse_traces_fall_back_to_the_nearest_reading() {
         // Two readings and a narrow kernel: far from both, every weight
         // underflows (`den ≤ 1e-300`) and the value is the nearest
         // reading's, through the pruned path as through the plain loop.
         let region = Rect::square(100.0).unwrap();
         let readings = [(Point2::new(5.0, 5.0), 3.0), (Point2::new(90.0, 90.0), 7.0)];
-        let mut smoother = KernelSmoother::new(&readings, 0.5, region);
+        let smoother = KernelSmoother::new(&readings, 0.5, region);
         let mut fallbacks = 0;
         for i in 0..=20 {
             for j in 0..=20 {
@@ -313,6 +375,8 @@ mod tests {
             }
         }
         assert!(fallbacks > 300);
+        // The same sweep, sharded: 81 rows, above the auto cutoff.
+        assert_grid_matches_naive(&readings, 0.5, &GridSpec::new(region, 21, 81).unwrap());
     }
 
     #[test]
@@ -323,10 +387,11 @@ mod tests {
             (Point2::new(15.0, 3.0), 0.5),
             (Point2::new(8.0, 18.0), 1.0),
         ];
+        let grid = GridSpec::new(region, 9, 67).unwrap();
         for bad in [-1.0, -0.5e-300, f64::NAN, f64::INFINITY] {
             let mut readings = base.to_vec();
             readings[1].1 = bad;
-            let mut smoother = KernelSmoother::new(&readings, 1.5, region);
+            let smoother = KernelSmoother::new(&readings, 1.5, region);
             assert!(smoother.pruning.is_none(), "{bad}");
             for p in [
                 Point2::new(2.0, 2.0),
@@ -338,6 +403,7 @@ mod tests {
                     naive(&readings, 1.5, p).to_bits()
                 );
             }
+            assert_grid_matches_naive(&readings, 1.5, &grid);
         }
     }
 
@@ -345,29 +411,27 @@ mod tests {
     fn queries_outside_the_blocks_take_the_plain_loop() {
         let region = Rect::square(20.0).unwrap();
         let readings = [(Point2::new(1.0, 1.0), 2.0), (Point2::new(15.0, 3.0), 0.5)];
-        let mut smoother = KernelSmoother::new(&readings, 1.0, region);
+        let smoother = KernelSmoother::new(&readings, 1.0, region);
+        let pr = smoother.pruning.as_ref().unwrap();
         for p in [
             Point2::new(-5.0, 3.0),
             Point2::new(3.0, 25.0),
             Point2::new(f64::NAN, 1.0),
         ] {
-            let pr = smoother.pruning.as_mut().unwrap();
-            assert!(pr.candidates_at(&readings, p).is_none());
+            assert!(pr.candidates_at(p).is_none());
             assert_eq!(
                 smoother.value(p).to_bits(),
                 naive(&readings, 1.0, p).to_bits()
             );
         }
-        let pr = smoother.pruning.as_mut().unwrap();
-        assert!(pr
-            .candidates_at(&readings, Point2::new(20.0, 20.0))
-            .is_some());
+        assert!(pr.candidates_at(Point2::new(20.0, 20.0)).is_some());
     }
 
     #[test]
     fn any_visiting_order_rebuilds_the_right_lists() {
-        // Column-major and back-and-forth sweeps switch block rows on
-        // almost every query.
+        // Column-major and back-and-forth sweeps cross block rows on
+        // almost every query; the lists, built once up front, serve
+        // every order alike.
         let region = Rect::square(30.0).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let readings: Vec<(Point2, f64)> = (0..200)
@@ -376,7 +440,7 @@ mod tests {
                 (q, rng.gen_range(0.0..3.0))
             })
             .collect();
-        let mut smoother = KernelSmoother::new(&readings, 0.8, region);
+        let smoother = KernelSmoother::new(&readings, 0.8, region);
         for i in 0..31 {
             for j in 0..31 {
                 let j = if i % 2 == 0 { j } else { 30 - j };
