@@ -224,6 +224,7 @@ impl Args {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(tokens: &[&str]) -> Result<Args, ArgsError> {
         Args::parse(tokens.iter().copied())
@@ -311,5 +312,42 @@ mod tests {
             expected: "a number",
         };
         assert!(e.to_string().contains("expected a number"));
+    }
+
+    /// Tokens a command line is made of, plus a few malformed ones
+    /// (`|`-separated, so the empty token is one of them).
+    const TOKENS: &str = "plan|simulate|--k|--threads|--resume|--|-||80|-1|on|1e309|--é|∞";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn parser_never_panics_on_arbitrary_token_lists(
+            picks in prop::collection::vec(any::<prop::sample::Index>(), 0..12),
+            bytes in prop::collection::vec(0u8..=255, 0..24),
+        ) {
+            let vocabulary: Vec<&str> = TOKENS.split('|').collect();
+            let mut tokens: Vec<String> = picks
+                .iter()
+                .map(|i| vocabulary[i.index(vocabulary.len())].to_string())
+                .collect();
+            tokens.push(String::from_utf8_lossy(&bytes).into_owned());
+            for argv in [&tokens[..tokens.len() - 1], &tokens[..]] {
+                match Args::parse(argv.iter().cloned()) {
+                    Ok(args) => {
+                        prop_assert_eq!(args.command(), argv[0].as_str());
+                        // The typed getters reject, never panic.
+                        let _ = args.usize_or("k", 0);
+                        let _ = args.f64_or("threads", 0.0);
+                        let _ = args.bool_or("resume", false);
+                        let _ = args.finish();
+                    }
+                    Err(err) => prop_assert!(
+                        matches!(err, ArgsError::MissingCommand | ArgsError::Malformed(_)),
+                        "{argv:?}: {err:?}"
+                    ),
+                }
+            }
+        }
     }
 }

@@ -216,29 +216,8 @@ impl Phase {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// One slot per [`Counter::ALL`] entry.
-static COUNTERS: [AtomicU64; 21] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static COUNTERS: [AtomicU64; Counter::ALL.len()] =
+    [const { AtomicU64::new(0) }; Counter::ALL.len()];
 
 /// `(phase, threads) -> (calls, total_ns)`, populated only while
 /// enabled.

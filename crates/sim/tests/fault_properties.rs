@@ -7,12 +7,17 @@
 //!    count;
 //! 2. killing a non-articulation node never increases the component
 //!    count of the communication graph.
+//!
+//! The `--faults` spec parser is fuzzed too: any text parses to a plan
+//! or a typed error, never a panic.
 
+use cps_core::CoreError;
 use cps_field::{Parallelism, PeaksField, Static};
 use cps_geometry::{GridSpec, Point2, Rect};
 use cps_network::UnitDiskGraph;
 use cps_sim::{scenario, CmaBuilder, DeltaTimeline, FaultPlan, MobileNode, RecoveryPolicy};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn region() -> Rect {
     Rect::square(100.0).unwrap()
@@ -157,5 +162,71 @@ proptest! {
             graph.component_count(),
             after.component_count()
         );
+    }
+}
+
+/// A valid spec that sets every key: the base for random edits.
+const FULL_SPEC: &str = "seed=11,kill=7@2,cull=0.1@10,death=0.01,battery=100:0.5:2,\
+                         dropout=0.05,outlier=0.05:30,stuck=0.03:2,loss=0.15:2,recovery=on";
+
+/// The spec grammar's characters, plus a few it gives no meaning to.
+const ALPHABET: &str = "=,@:.-+ 0123456789eEinfNaseedkillculldeathbatterydropout\
+                        outlierstucklossrecoveryautoonoff\t\u{0}é∞";
+
+fn alphabet_char(pick: &prop::sample::Index) -> char {
+    let chars: Vec<char> = ALPHABET.chars().collect();
+    chars[pick.index(chars.len())]
+}
+
+fn assert_parses_or_rejects(spec: &str) -> Result<(), TestCaseError> {
+    let result = FaultPlan::parse(spec);
+    prop_assert!(
+        matches!(result, Ok(_) | Err(CoreError::InvalidParameter { .. })),
+        "{spec:?}: {result:?}"
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn fault_spec_parser_never_panics_on_arbitrary_text(
+        picks in prop::collection::vec(any::<prop::sample::Index>(), 0..60),
+        bytes in prop::collection::vec(0u8..=255, 0..60),
+    ) {
+        let text: String = picks.iter().map(alphabet_char).collect();
+        assert_parses_or_rejects(&text)?;
+        assert_parses_or_rejects(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn fault_spec_parser_never_panics_on_edited_specs(
+        entry in any::<prop::sample::Index>(),
+        edits in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>(), 0u8..3),
+            1..4,
+        ),
+    ) {
+        prop_assert!(FaultPlan::parse(FULL_SPEC).is_ok(), "the edit base must be valid");
+        // Replace, insert or delete characters of one entry, so every
+        // key's error paths are reached, not just the first entry's.
+        let mut entries: Vec<String> = FULL_SPEC.split(',').map(str::to_string).collect();
+        let i = entry.index(entries.len());
+        let mut chars: Vec<char> = entries[i].chars().collect();
+        for (at, pick, op) in &edits {
+            let j = at.index(chars.len() + 1);
+            match op {
+                0 if j < chars.len() => chars[j] = alphabet_char(pick),
+                1 => chars.insert(j, alphabet_char(pick)),
+                _ if j < chars.len() => {
+                    chars.remove(j);
+                }
+                _ => {}
+            }
+        }
+        entries[i] = chars.into_iter().collect();
+        assert_parses_or_rejects(&entries[i])?;
+        assert_parses_or_rejects(&entries.join(","))?;
     }
 }

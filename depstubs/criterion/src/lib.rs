@@ -6,7 +6,9 @@
 //! stand-in runs each benchmark body a small fixed number of times and
 //! prints a rough mean instead of doing statistical analysis. That
 //! keeps `cargo bench` usable for coarse comparisons and keeps the
-//! bench targets compiling under `cargo test --all-targets`.
+//! bench targets compiling under `cargo test --all-targets`. As
+//! upstream, `cargo bench -- --test` runs each body exactly once, as a
+//! smoke test.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -21,17 +23,36 @@ const ITERS: u32 = 10;
 
 /// The benchmark manager: collects and immediately runs benchmarks.
 #[derive(Debug, Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// `--test` was passed: run each body once instead of [`ITERS`]
+    /// times.
+    test_mode: bool,
+}
 
 impl Criterion {
-    /// Upstream parses CLI args here; the stand-in accepts them all.
+    /// Upstream parses CLI args here; the stand-in honours only
+    /// `--test` (one iteration per benchmark) and ignores the rest.
     pub fn configure_from_args(self) -> Self {
+        self.with_args(std::env::args().skip(1))
+    }
+
+    fn with_args(mut self, args: impl IntoIterator<Item = String>) -> Self {
+        self.test_mode = args.into_iter().any(|arg| arg == "--test");
         self
+    }
+
+    fn bencher(&self) -> Bencher {
+        let per_call = if self.test_mode { 1 } else { ITERS };
+        Bencher {
+            total: Duration::ZERO,
+            iters: 0,
+            per_call,
+        }
     }
 
     /// Runs one standalone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
-        let mut b = Bencher::default();
+        let mut b = self.bencher();
         f(&mut b);
         b.report(id);
         self
@@ -40,7 +61,7 @@ impl Criterion {
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _parent: self,
+            parent: self,
             name: name.into(),
         }
     }
@@ -50,7 +71,7 @@ impl Criterion {
 /// stand-in only prefixes the name).
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
     name: String,
 }
 
@@ -60,7 +81,8 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Accepted and ignored (the stand-in's iteration count is fixed).
+    /// Accepted and ignored (the stand-in's iteration count is fixed
+    /// by [`Criterion`]).
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
         self
     }
@@ -76,7 +98,7 @@ impl BenchmarkGroup<'_> {
         id: impl IntoBenchmarkId,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher::default();
+        let mut b = self.parent.bencher();
         f(&mut b);
         b.report(&format!("{}/{}", self.name, id.into_benchmark_id().0));
         self
@@ -89,7 +111,7 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher::default();
+        let mut b = self.parent.bencher();
         f(&mut b, input);
         b.report(&format!("{}/{}", self.name, id.into_benchmark_id().0));
         self
@@ -100,21 +122,22 @@ impl BenchmarkGroup<'_> {
 }
 
 /// Times benchmark bodies.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Bencher {
     total: Duration,
     iters: u32,
+    per_call: u32,
 }
 
 impl Bencher {
     /// Times `routine`, running it a fixed number of iterations.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        for _ in 0..ITERS {
+        for _ in 0..self.per_call {
             let start = Instant::now();
             black_box(routine());
             self.total += start.elapsed();
         }
-        self.iters += ITERS;
+        self.iters += self.per_call;
     }
 
     /// Times `routine` on fresh inputs from `setup` (setup untimed).
@@ -124,13 +147,13 @@ impl Bencher {
         mut routine: F,
         _size: BatchSize,
     ) {
-        for _ in 0..ITERS {
+        for _ in 0..self.per_call {
             let input = setup();
             let start = Instant::now();
             black_box(routine(input));
             self.total += start.elapsed();
         }
-        self.iters += ITERS;
+        self.iters += self.per_call;
     }
 
     fn report(&self, id: &str) {
@@ -245,5 +268,30 @@ mod tests {
     #[test]
     fn harness_runs_every_benchmark() {
         benches();
+    }
+
+    /// Runs of each body under a configured harness: standalone,
+    /// grouped, parameterised and batched.
+    fn body_runs(mut c: Criterion) -> [u32; 4] {
+        let mut runs = [0u32; 4];
+        c.bench_function("count", |b| b.iter(|| runs[0] += 1));
+        let mut group = c.benchmark_group("grp");
+        group.bench_function("count", |b| b.iter(|| runs[1] += 1));
+        group.bench_with_input(BenchmarkId::from_parameter(2), &2u32, |b, &n| {
+            b.iter(|| runs[2] += n / 2)
+        });
+        group.bench_function("batched", |b| {
+            b.iter_batched(|| 1, |one| runs[3] += one, BatchSize::SmallInput)
+        });
+        group.finish();
+        runs
+    }
+
+    #[test]
+    fn test_flag_runs_every_body_exactly_once() {
+        let args = ["--bench", "--test"].map(String::from);
+        assert_eq!(body_runs(Criterion::default().with_args(args)), [1; 4]);
+        let args = ["--bench", "delta"].map(String::from);
+        assert_eq!(body_runs(Criterion::default().with_args(args)), [ITERS; 4]);
     }
 }
