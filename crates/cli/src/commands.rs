@@ -5,14 +5,14 @@ use std::fs;
 use std::path::Path;
 
 use cps_core::osd::FraBuilder;
-use cps_core::{analyze_deployment_with, EvalOptions, SurvivabilityTracker};
-use cps_field::{Field, GridField, Parallelism};
+use cps_core::{analyze_deployment_with, CoreError, CpsConfig, EvalOptions, SurvivabilityTracker};
+use cps_field::{Field, GridField, Parallelism, TimeVaryingField};
 use cps_geometry::{GridSpec, Point2, Rect};
 use cps_greenorbs::{Channel, Dataset, ForestConfig, LatentLightField, DEFAULT_KERNEL_BANDWIDTH};
 use cps_network::UnitDiskGraph;
 use cps_sim::{
-    run_sweep, scenario, CheckpointDir, CheckpointPolicy, CmaBuilder, DeltaTimeline, EngineBuilder,
-    FaultEvent, FaultPlan, OptimizerKind, RunRecorder, SweepSpec, TrajectoryRecorder,
+    run_sweep, scenario, CheckpointDir, CheckpointPolicy, CmaBuilder, DeltaTimeline, FaultEvent,
+    FaultPlan, RunRecorder, SweepSpec, TrajectoryRecorder,
 };
 use cps_viz::{ascii_heatmap, ascii_scatter, field_to_pgm, trajectories_svg, SvgStyle};
 
@@ -197,6 +197,36 @@ pub fn plan(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// The deployment optimizer `cps simulate --optimizer` selects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OptimizerKind {
+    /// The paper's OSTD loop: evenly spaced grid start, CMA movement
+    /// for the mission.
+    Cma,
+    /// The paper's OSD algorithm: FRA refinement against the field
+    /// frozen at the start time; the deployment then holds position.
+    Fra,
+    /// FRA refinement for the initial placement, then CMA movement for
+    /// the mission.
+    Hybrid,
+}
+
+impl std::str::FromStr for OptimizerKind {
+    type Err = CoreError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "cma" => Ok(OptimizerKind::Cma),
+            "fra" => Ok(OptimizerKind::Fra),
+            "hybrid" => Ok(OptimizerKind::Hybrid),
+            _ => Err(CoreError::InvalidParameter {
+                name: "optimizer",
+                requirement: "must be cma, fra, or hybrid",
+            }),
+        }
+    }
+}
+
 /// `cps simulate` — the CMA mobile swarm.
 pub fn simulate(args: &Args) -> CmdResult {
     let k = args.usize_or("k", 100)?;
@@ -288,16 +318,19 @@ pub fn simulate(args: &Args) -> CmdResult {
             let start = match optimizer {
                 OptimizerKind::Cma => scenario::grid_start_spaced(region(), k, 9.3)?,
                 OptimizerKind::Fra | OptimizerKind::Hybrid => {
-                    let (positions, refined, relays) = EngineBuilder::new(region(), k)
-                        .optimizer(optimizer)
+                    // FRA plans against the field frozen at the start
+                    // time, with the fleet's default comm radius.
+                    let placed = FraBuilder::new(k, CpsConfig::default().comm_radius())
+                        .grid(grid)
                         .evaluator(eval)
-                        .start_time(600.0)
-                        .placement(&field)?;
+                        .run(&field.at_time(600.0))?;
                     println!(
-                        "fra placement: {} nodes ({refined} error-refined, {relays} relays)",
-                        positions.len()
+                        "fra placement: {} nodes ({} error-refined, {} relays)",
+                        placed.positions.len(),
+                        placed.refined,
+                        placed.relays
                     );
-                    positions
+                    placed.positions
                 }
             };
             let fleet = start.len();
@@ -597,6 +630,17 @@ pub fn read_positions_csv(path: &str) -> Result<Vec<Point2>, Box<dyn Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn optimizer_kind_parses_the_cli_values() {
+        assert_eq!("cma".parse::<OptimizerKind>().unwrap(), OptimizerKind::Cma);
+        assert_eq!("fra".parse::<OptimizerKind>().unwrap(), OptimizerKind::Fra);
+        assert_eq!(
+            "hybrid".parse::<OptimizerKind>().unwrap(),
+            OptimizerKind::Hybrid
+        );
+        assert!("annealing".parse::<OptimizerKind>().is_err());
+    }
 
     #[test]
     fn positions_csv_round_trip() {

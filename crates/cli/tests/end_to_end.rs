@@ -14,6 +14,54 @@ fn cps() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cps"))
 }
 
+fn golden(name: &str) -> String {
+    let path = format!("{}/../../tests/goldens/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Runs `cps simulate <args> --report report.json` inside a scratch
+/// directory (so the report path the command echoes is the same on
+/// every machine) and returns `(stdout, report)`.
+fn simulate_with_report(dir: &str, args: &[&str]) -> (String, String) {
+    let dir = scratch(dir);
+    let out = cps()
+        .current_dir(&dir)
+        .arg("simulate")
+        .args(args)
+        .args(["--report", "report.json"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = std::fs::read_to_string(dir.join("report.json")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    (String::from_utf8(out.stdout).unwrap(), report)
+}
+
+/// Replays one `--optimizer` golden (stdout and report) at one and
+/// two threads.
+fn replay_optimizer_golden(optimizer: &str, extra: &[&str], golden_stem: &str) {
+    for threads in ["1", "2"] {
+        let mut args = vec!["--minutes", "20", "--seed", "7", "--k", "40"];
+        args.extend(["--optimizer", optimizer, "--threads", threads]);
+        args.extend(extra);
+        let (stdout, report) = simulate_with_report(&format!("{golden_stem}_{threads}"), &args);
+        assert_eq!(
+            report,
+            golden(&format!("{golden_stem}_report.json")),
+            "{args:?}"
+        );
+        assert_eq!(
+            stdout,
+            golden(&format!("{golden_stem}_stdout.txt")),
+            "{args:?}"
+        );
+    }
+}
+
 #[test]
 fn generate_plan_report_pipeline() {
     let dir = scratch("pipeline");
@@ -161,4 +209,41 @@ fn removed_quadrature_flags_are_unknown() {
             "{args:?} {flag}: {stderr}"
         );
     }
+}
+
+#[test]
+fn fra_optimizer_golden_replays_at_one_and_two_threads() {
+    replay_optimizer_golden("fra", &[], "simulate_fra");
+}
+
+#[test]
+fn hybrid_optimizer_golden_replays_at_one_and_two_threads() {
+    replay_optimizer_golden(
+        "hybrid",
+        &["--faults", "seed=3,kill=5@8,loss=0.1:2"],
+        "simulate_hybrid_faults",
+    );
+}
+
+#[test]
+fn stage_report_goldens_replay() {
+    let (_, clean) = simulate_with_report(
+        "stage_clean",
+        &["--minutes", "20", "--seed", "11", "--k", "40"],
+    );
+    assert_eq!(clean, golden("stage_report_clean.json"));
+    let (_, faults) = simulate_with_report(
+        "stage_faults",
+        &[
+            "--minutes",
+            "20",
+            "--seed",
+            "7",
+            "--k",
+            "64",
+            "--faults",
+            "seed=3,kill=5@8,loss=0.1:2",
+        ],
+    );
+    assert_eq!(faults, golden("stage_report_faults.json"));
 }

@@ -86,8 +86,8 @@ pub enum Counter {
     SweepJobs,
     /// Sweep jobs restored from a manifest instead of re-simulated.
     SweepResumed,
-    /// Simulation slots stepped through the stage pipeline (counted by
-    /// the engine's built-in observer adapter).
+    /// Simulation slots stepped (counted by the slot driver,
+    /// `Simulation::step_observed`).
     SimSteps,
 }
 
@@ -171,21 +171,21 @@ pub enum Phase {
     /// One batch-sweep job: a full simulation run plus its δ timeline
     /// and outcome extraction.
     SweepJob,
-    /// Stage pipeline: slot-start fault deaths (`FaultStage`).
+    /// Slot stage `fault`: slot-start fault deaths.
     StageFault,
-    /// Stage pipeline: slot-start world snapshot — alive set,
-    /// unit-disk graph, components (`SenseStage`).
+    /// Slot stage `sense`: slot-start world snapshot — alive set,
+    /// unit-disk graph, components.
     StageSense,
-    /// Stage pipeline: message-level fault draws and attempt
-    /// accounting (`ExchangeStage`).
+    /// Slot stage `exchange`: message-level fault draws and attempt
+    /// accounting.
     StageExchange,
-    /// Stage pipeline: partition-recovery overrides (`RecoveryStage`).
+    /// Slot stage `recovery`: partition-recovery overrides.
     StageRecovery,
-    /// Stage pipeline: CMA decisions, speed clamp, LCM repair, and
-    /// position application (`OptimizeStage`).
+    /// Slot stage `optimize`: CMA decisions, speed clamp, LCM repair,
+    /// and position application.
     StageOptimize,
-    /// Stage pipeline: clock advance, gossip scale, battery drain, and
-    /// report assembly (`RecordStage`).
+    /// Slot stage `record`: clock advance, gossip scale, battery drain,
+    /// and report assembly.
     StageRecord,
 }
 

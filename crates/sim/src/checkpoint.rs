@@ -125,11 +125,12 @@ pub struct SimSnapshot {
     pub region: Rect,
     /// The gossiped curvature normalization reference.
     pub curvature_scale: f64,
-    /// Stage names of the pipeline that produced this snapshot, in
-    /// execution order. Snapshots written before the stage pipeline
-    /// existed decode as the standard sequence; restore rejects
-    /// anything else, because resuming a run under a different stage
-    /// order could not be bit-identical to the uninterrupted one.
+    /// Stage names of the slot loop that produced this snapshot, in
+    /// execution order. Snapshots written before the field existed
+    /// decode as [`STANDARD_STAGES`](crate::stage::STANDARD_STAGES);
+    /// restore rejects any other sequence, because resuming a run
+    /// under a different stage order could not be bit-identical to the
+    /// uninterrupted one.
     #[serde(default = "standard_pipeline")]
     pub pipeline: Vec<String>,
     /// The full fleet, dead nodes included.
@@ -144,7 +145,7 @@ pub struct SimSnapshot {
 }
 
 /// The standard stage sequence, which snapshots written before the
-/// stage pipeline existed also ran.
+/// `pipeline` field existed also ran.
 pub(crate) fn standard_pipeline() -> Vec<String> {
     crate::stage::STANDARD_STAGES
         .iter()
@@ -832,10 +833,7 @@ mod tests {
             cma: CmaConfig::default(),
             region: Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap(),
             curvature_scale: 0.012_345_678_901_234_5,
-            pipeline: crate::stage::STANDARD_STAGES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            pipeline: standard_pipeline(),
             nodes: vec![
                 MobileNode {
                     id: 0,
@@ -1016,12 +1014,13 @@ mod tests {
         assert_eq!(snap, back);
     }
 
-    #[test]
-    fn snapshots_with_removed_eval_fields_resume_bit_identically() {
-        // Snapshots written while δ had a kernel switch and a tile
-        // cache carry `eval_cached` and `eval_kernel`. The decoder
-        // reads by key, so such a snapshot still loads, and resuming
-        // it reproduces the uninterrupted run to the bit.
+    /// Checkpoints a run at slot 3, re-seals the snapshot's JSON object
+    /// after `edit`, resumes from those bytes to slot 7, and asserts the
+    /// result is bit-identical to the uninterrupted run. Returns the
+    /// re-sealed bytes.
+    fn resume_after_edit_is_bit_identical(
+        edit: impl FnOnce(&mut std::collections::BTreeMap<String, Value>),
+    ) -> Vec<u8> {
         use cps_field::{PeaksField, Static};
         use cps_geometry::GridSpec;
 
@@ -1054,14 +1053,8 @@ mod tests {
         let Value::Object(mut fields) = snap.serialize().unwrap() else {
             panic!("a snapshot encodes to a JSON object");
         };
-        fields.insert("eval_cached".to_string(), Value::Bool(false));
-        fields.insert(
-            "eval_kernel".to_string(),
-            Value::String("raster".to_string()),
-        );
+        edit(&mut fields);
         let bytes = seal(MAGIC, SNAPSHOT_VERSION, &Value::Object(fields)).unwrap();
-        assert!(String::from_utf8_lossy(&bytes)
-            .contains(r#""eval_cached":false,"eval_kernel":"raster","#));
 
         let snap = SimSnapshot::from_bytes(&bytes).unwrap();
         let mut timeline = snap.timeline(EvalOptions::new()).unwrap();
@@ -1082,6 +1075,56 @@ mod tests {
             assert_eq!(ta.to_bits(), tb.to_bits());
             assert_eq!(ea.delta.to_bits(), eb.delta.to_bits());
             assert_eq!(ea.rms.to_bits(), eb.rms.to_bits());
+        }
+        bytes
+    }
+
+    #[test]
+    fn snapshots_with_removed_eval_fields_resume_bit_identically() {
+        // Snapshots written while δ had a kernel switch and a tile
+        // cache carry `eval_cached` and `eval_kernel`. The decoder
+        // reads by key, so such a snapshot still loads, and resuming
+        // it reproduces the uninterrupted run to the bit.
+        let bytes = resume_after_edit_is_bit_identical(|fields| {
+            fields.insert("eval_cached".to_string(), Value::Bool(false));
+            fields.insert(
+                "eval_kernel".to_string(),
+                Value::String("raster".to_string()),
+            );
+        });
+        assert!(String::from_utf8_lossy(&bytes)
+            .contains(r#""eval_cached":false,"eval_kernel":"raster","#));
+    }
+
+    #[test]
+    fn snapshots_without_a_pipeline_resume_bit_identically() {
+        // Snapshots written before the `pipeline` field existed decode
+        // as the standard stage sequence.
+        let bytes = resume_after_edit_is_bit_identical(|fields| {
+            assert!(fields.remove("pipeline").is_some());
+        });
+        assert!(!String::from_utf8_lossy(&bytes).contains("pipeline"));
+    }
+
+    #[test]
+    fn reordered_pipeline_is_rejected_on_resume() {
+        use cps_field::{PeaksField, Static};
+
+        let region = Rect::square(100.0).unwrap();
+        let field = Static::new(PeaksField::new(region, 8.0));
+        let start = crate::scenario::grid_start(region, 9);
+        let mut sim = crate::CmaBuilder::new(region, start).run(field).unwrap();
+        sim.step().unwrap();
+        let mut snap = sim.checkpoint();
+        snap.pipeline.swap(0, 1);
+        match crate::CmaBuilder::resume_from(snap).run(field) {
+            Err(CoreError::SnapshotCorrupt { reason, .. }) => assert!(
+                reason.contains(
+                    r#"["sense", "fault", "exchange", "recovery", "optimize", "record"]"#
+                ),
+                "{reason}"
+            ),
+            other => panic!("expected SnapshotCorrupt, got {other:?}"),
         }
     }
 

@@ -8,7 +8,6 @@ use cps_geometry::{within, Point2, Rect};
 
 use crate::checkpoint::{corrupt, SimSnapshot};
 use crate::fault::{FaultEvent, FaultPlan, FaultState};
-use crate::stage::{EventBus, StagePipeline, StepCtx, StepEvent, StepObserver};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -514,11 +513,12 @@ impl<F: TimeVaryingField> Simulation<F> {
 }
 
 impl<F: TimeVaryingField + Sync> Simulation<F> {
-    /// Advances the simulation by one time slot through the standard
-    /// [`StagePipeline`]: fault deaths, world snapshot, exchange-level
-    /// fault draws, recovery overrides, the CMA/LCM movement plan,
-    /// then end-of-slot records (see [`crate::stage`] for the stage
-    /// taxonomy and the determinism argument).
+    /// Advances the simulation by one time slot: fault deaths, world
+    /// snapshot, exchange-level fault draws, recovery overrides, the
+    /// CMA/LCM movement plan, then end-of-slot records (see
+    /// [`crate::stage`] for the stages and the determinism argument).
+    /// This is [`step_observed`](Simulation::step_observed) with no
+    /// observers.
     ///
     /// # Errors
     ///
@@ -526,54 +526,6 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
     /// sensing samples — cannot happen with a valid configuration).
     pub fn step(&mut self) -> Result<StepReport, CoreError> {
         self.step_observed(&mut [])
-    }
-
-    /// [`step`](Simulation::step) with [`StepObserver`]s riding the
-    /// event bus: each receives the slot brackets, the stage brackets,
-    /// and read access to the stepped world (see
-    /// [`StepEvent`](crate::StepEvent)).
-    ///
-    /// Observers cannot perturb the arithmetic — a run with observers
-    /// is bit-identical to one without.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stage failures and observer failures (e.g. a failed
-    /// checkpoint write), whichever happens first.
-    pub fn step_observed(
-        &mut self,
-        observers: &mut [&mut dyn StepObserver<F>],
-    ) -> Result<StepReport, CoreError> {
-        self.step_with(&mut StagePipeline::standard(), observers)
-    }
-
-    /// The full-control entry point: one slot through an explicit
-    /// pipeline, with observers. [`step`](Simulation::step) is this
-    /// with the standard pipeline and no observers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stage and observer failures.
-    pub fn step_with(
-        &mut self,
-        pipeline: &mut StagePipeline<F>,
-        observers: &mut [&mut dyn StepObserver<F>],
-    ) -> Result<StepReport, CoreError> {
-        let mut bus = EventBus::new(observers);
-        bus.emit(StepEvent::SlotStart {
-            slot: self.slot,
-            time: self.time,
-        })?;
-        let report = {
-            let mut ctx = StepCtx::new(self);
-            pipeline.run(&mut ctx, &mut bus)?;
-            ctx.into_report()?
-        };
-        bus.emit(StepEvent::SlotEnd {
-            sim: self,
-            report: &report,
-        })?;
-        Ok(report)
     }
 
     /// Steps until the clock reaches `t_end` (minutes), returning the

@@ -9,10 +9,14 @@
 //! * [`Simulation`] — world state (field, region, nodes) and the
 //!   per-slot step: sense → exchange → CMA force step → LCM
 //!   connectivity adjustment → speed-clamped movement;
+//! * [`stage`] — that step as one fixed six-stage driver,
+//!   [`Simulation::step_observed`], which reports each slot and stage
+//!   to [`StepObserver`]s such as the [`RunRecorder`] bundle;
 //! * [`SimConfig`] — the knobs above;
 //! * [`DeltaTimeline`] / [`ConvergenceDetector`] — the δ(t) series of
 //!   Fig. 10 and its convergence point;
-//! * [`scenario`] — canonical initial deployments.
+//! * [`scenario`] — canonical initial deployments (an FRA placement
+//!   from `cps_core::osd::FraBuilder` works as a start too).
 //!
 //! # Example
 //!
@@ -38,7 +42,6 @@ mod exploration;
 mod fault;
 mod metrics;
 mod observers;
-mod optimizer;
 mod sampling;
 pub mod scenario;
 pub mod stage;
@@ -55,15 +58,8 @@ pub use fault::{
 };
 pub use metrics::{ConvergenceDetector, DeltaTimeline};
 pub use observers::RunRecorder;
-pub use optimizer::{
-    CmaOptimizer, EngineBuilder, FraOptimizer, HybridOptimizer, Optimizer, OptimizerKind,
-    OptimizerRun,
-};
 pub use sampling::{path_sampling_gain, reconstruct_with_path_samples, PathSample, PathSampleBank};
-pub use stage::{
-    EventBus, ExchangeStage, FaultStage, ObsAdapter, OptimizeStage, RecordStage, RecoveryStage,
-    SenseStage, Stage, StagePipeline, StepCtx, StepEvent, StepObserver,
-};
+pub use stage::{StepEvent, StepObserver};
 pub use sweep::{
     run_sweep, Aggregate, CellAggregate, JobOutcome, SweepJob, SweepManifest, SweepResults,
     SweepSpec, SWEEP_MANIFEST_VERSION,

@@ -1,7 +1,7 @@
 //! Built-in [`StepObserver`] consumers: the [`RunRecorder`] bundle
 //! that used to be hand-wired into every simulation loop.
 //!
-//! Before the stage pipeline, each driver (CLI `simulate`, the sweep
+//! Before the observer bus, each driver (CLI `simulate`, the sweep
 //! job runner, bench bins) reached into [`Simulation`] after every
 //! step to record the δ timeline, feed the survivability ledger, and
 //! decide whether a checkpoint was due. [`RunRecorder`] packages those
