@@ -24,7 +24,7 @@ fn bench_volume_difference(c: &mut Criterion) {
     let f = PeaksField::new(region, 8.0);
     let g = PlaneField::new(0.1, -0.05, 1.0);
     c.bench_function("volume_difference_101x101", |b| {
-        b.iter(|| delta::volume_difference(&f, &g, &grid))
+        b.iter(|| delta::volume_difference_with(&f, &g, &grid, Parallelism::serial()))
     });
 }
 

@@ -2,6 +2,7 @@
 
 use cps_bench::{paper_dataset, paper_region, reference_light_surface, PAPER_RC};
 use cps_core::osd::FraBuilder;
+use cps_core::EvalOptions;
 use cps_field::Parallelism;
 use cps_geometry::GridSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -40,7 +41,7 @@ fn bench_fra(c: &mut Criterion) {
             b.iter(|| {
                 FraBuilder::new(50, PAPER_RC)
                     .grid(grid)
-                    .parallelism(par)
+                    .evaluator(EvalOptions::new().parallelism(par))
                     .run(&reference)
                     .unwrap()
                     .positions

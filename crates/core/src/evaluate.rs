@@ -28,9 +28,10 @@ pub struct DeploymentEvaluation {
     pub node_count: usize,
 }
 
-/// Evaluation knobs shared by everything that measures δ:
-/// [`DeltaEvaluator`] itself, plus the FRA and CMA builders via their
-/// `.evaluator(...)` option.
+/// The thread policy as the FRA and CMA builders take it (their
+/// `.evaluator(...)` option) and a simulation hands it on to its δ
+/// timeline; [`DeltaEvaluator`] takes the bare policy through
+/// [`DeltaEvaluator::parallelism`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EvalOptions {
     /// Thread policy for grid sweeps. Results are bit-identical at any
@@ -63,16 +64,6 @@ impl Default for EvalOptions {
 /// the node positions, rebuilds `z* = DT(x, y)`, and measures δ and RMS
 /// over the grid, along with unit-disk connectivity.
 ///
-/// Replaces the removed legacy `evaluate_deployment` /
-/// `evaluate_deployment_with` / `evaluate_survivors` /
-/// `evaluate_survivors_with` quartet:
-///
-/// | legacy call | `DeltaEvaluator` equivalent |
-/// |---|---|
-/// | `evaluate_deployment(f, ps, rc, g)` | `DeltaEvaluator::new(f, g, rc).parallelism(Parallelism::serial()).evaluate(ps)` |
-/// | `evaluate_deployment_with(.., par)` | `.parallelism(par).evaluate(ps)` |
-/// | `evaluate_survivors(..)` | `.survivors(true)` before `.evaluate(ps)` |
-///
 /// The evaluator holds no state between
 /// [`evaluate`](DeltaEvaluator::evaluate) calls, and every result is
 /// bit-identical at any thread count.
@@ -97,36 +88,29 @@ pub struct DeltaEvaluator<'f, F> {
     reference: &'f F,
     grid: GridSpec,
     comm_radius: f64,
-    opts: EvalOptions,
+    par: Parallelism,
     survivors: bool,
     mask: Option<Vec<bool>>,
 }
 
 impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
     /// Creates an evaluator for `reference` over `grid` with the given
-    /// communication radius ([`EvalOptions::default`] options: auto
-    /// parallelism, hard errors below three distinct nodes).
+    /// communication radius (auto parallelism, hard errors below three
+    /// distinct nodes).
     pub fn new(reference: &'f F, grid: &GridSpec, comm_radius: f64) -> Self {
         DeltaEvaluator {
             reference,
             grid: *grid,
             comm_radius,
-            opts: EvalOptions::default(),
+            par: Parallelism::auto(),
             survivors: false,
             mask: None,
         }
     }
 
-    /// Replaces all evaluation options at once (the struct shared with
-    /// the FRA/CMA builders).
-    pub fn options(mut self, opts: EvalOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Sets the thread policy for the δ and RMS sweeps.
     pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.opts.parallelism = par;
+        self.par = par;
         self
     }
 
@@ -149,11 +133,6 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
         self.mask = Some(mask.to_vec());
         self.survivors = true;
         self
-    }
-
-    /// The active options.
-    pub fn eval_options(&self) -> EvalOptions {
-        self.opts
     }
 
     /// Evaluates one deployment.
@@ -185,7 +164,7 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
             }
             None => positions,
         };
-        let par = self.opts.parallelism;
+        let par = self.par;
         let samples: Vec<f64> = positions.iter().map(|&p| self.reference.value(p)).collect();
         match ReconstructedSurface::from_samples(self.grid.rect(), positions, &samples) {
             Ok(surface) => {

@@ -64,6 +64,6 @@ pub use error::CoreError;
 pub use evaluate::{DeltaEvaluator, DeploymentEvaluation, EvalOptions};
 pub use problem::{OsdProblem, OstdProblem};
 pub use report::{
-    analyze_deployment, analyze_deployment_with, DeploymentReport, SurvivabilityReport,
-    SurvivabilityState, SurvivabilityTracker,
+    analyze_deployment_with, DeploymentReport, SurvivabilityReport, SurvivabilityState,
+    SurvivabilityTracker,
 };

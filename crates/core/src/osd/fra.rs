@@ -22,7 +22,7 @@
 //! samples makes the greedy systematically blind to border error; see
 //! DESIGN.md for the measurement that motivated the change.
 
-use cps_field::{Field, Parallelism};
+use cps_field::Field;
 use cps_geometry::{GridSpec, Point2, Triangulation};
 use cps_network::{RelayPlan, UnitDiskGraph};
 
@@ -108,19 +108,12 @@ impl FraBuilder {
 
     /// Sets the evaluation options shared with [`crate::DeltaEvaluator`]
     /// and the CMA simulation builder: the thread policy for the
-    /// local-error sweeps.
+    /// local-error sweeps (defaults to
+    /// [`Parallelism::auto`](cps_field::Parallelism::auto)). The
+    /// refinement result is bit-identical at any thread count — this
+    /// only changes wall-clock time.
     pub fn evaluator(mut self, opts: EvalOptions) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Sets the thread policy for the local-error sweeps (defaults to
-    /// [`Parallelism::auto`]). The refinement result is bit-identical at
-    /// any thread count — this only changes wall-clock time. Shorthand
-    /// for [`evaluator`](FraBuilder::evaluator) with only the
-    /// parallelism changed.
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.opts.parallelism = par;
         self
     }
 
@@ -333,7 +326,7 @@ impl FraBuilder {
 mod tests {
     use super::*;
     use crate::DeltaEvaluator;
-    use cps_field::{GaussianBlob, GaussianMixtureField, PeaksField};
+    use cps_field::{GaussianBlob, GaussianMixtureField, Parallelism, PeaksField};
     use cps_geometry::Rect;
 
     fn region() -> Rect {
@@ -387,7 +380,7 @@ mod tests {
         let f = peaks();
         let serial = FraBuilder::new(20, 10.0)
             .grid(grid())
-            .parallelism(Parallelism::serial())
+            .evaluator(EvalOptions::new().parallelism(Parallelism::serial()))
             .run(&f)
             .unwrap();
         for par in [
@@ -397,7 +390,7 @@ mod tests {
         ] {
             let other = FraBuilder::new(20, 10.0)
                 .grid(grid())
-                .parallelism(par)
+                .evaluator(EvalOptions::new().parallelism(par))
                 .run(&f)
                 .unwrap();
             assert_eq!(serial, other, "with {par:?}");

@@ -47,7 +47,9 @@ impl DeploymentReport {
 }
 
 /// Computes the [`DeploymentReport`] for node `positions` against
-/// `reference` over `grid`, at communication radius `comm_radius`.
+/// `reference` over `grid`, at communication radius `comm_radius`,
+/// running the δ/RMS quadratures under the thread policy `par`; the
+/// report is bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -58,8 +60,8 @@ impl DeploymentReport {
 /// # Example
 ///
 /// ```
-/// use cps_core::analyze_deployment;
-/// use cps_field::PeaksField;
+/// use cps_core::analyze_deployment_with;
+/// use cps_field::{Parallelism, PeaksField};
 /// use cps_geometry::{GridSpec, Rect};
 /// use cps_core::osd::baselines::uniform_grid_deployment;
 ///
@@ -67,32 +69,11 @@ impl DeploymentReport {
 /// let grid = GridSpec::new(region, 41, 41).unwrap();
 /// let field = PeaksField::new(region, 8.0);
 /// let nodes = uniform_grid_deployment(region, 16);
-/// let report = analyze_deployment(&field, &nodes, 30.0, &grid).unwrap();
+/// let report =
+///     analyze_deployment_with(&field, &nodes, 30.0, &grid, Parallelism::serial()).unwrap();
 /// assert!(report.evaluation.connected);
 /// assert!((report.coverage_imbalance() - 1.0).abs() < 1e-6); // even grid
 /// ```
-pub fn analyze_deployment<F: Field + Sync>(
-    reference: &F,
-    positions: &[Point2],
-    comm_radius: f64,
-    grid: &GridSpec,
-) -> Result<DeploymentReport, CoreError> {
-    analyze_deployment_with(
-        reference,
-        positions,
-        comm_radius,
-        grid,
-        Parallelism::serial(),
-    )
-}
-
-/// Like [`analyze_deployment`], but runs the δ/RMS quadratures on the
-/// parallel evaluation engine; the report is bit-identical to the
-/// serial one at any thread count.
-///
-/// # Errors
-///
-/// Same contract as [`analyze_deployment`].
 pub fn analyze_deployment_with<F: Field + Sync>(
     reference: &F,
     positions: &[Point2],
@@ -106,8 +87,7 @@ pub fn analyze_deployment_with<F: Field + Sync>(
     finish_report(evaluation, positions, comm_radius, grid)
 }
 
-/// The network-health and coverage half of the report, shared by the
-/// serial and parallel entry points.
+/// The network-health and coverage half of the report.
 fn finish_report(
     evaluation: DeploymentEvaluation,
     positions: &[Point2],
@@ -399,7 +379,8 @@ mod tests {
         let nodes = baselines::uniform_grid_deployment(region, 25);
         // Rc = 25 comfortably exceeds the 20 m grid spacing including
         // diagonals (28 > 25): rich connectivity without full mesh.
-        let report = analyze_deployment(&field, &nodes, 25.0, &grid).unwrap();
+        let report =
+            analyze_deployment_with(&field, &nodes, 25.0, &grid, Parallelism::serial()).unwrap();
         assert!(report.evaluation.connected);
         assert!((report.coverage_imbalance() - 1.0).abs() < 1e-6);
         // Diagonal links exist (20·√2 = 28.3 > 25: no diagonals, but
@@ -414,7 +395,9 @@ mod tests {
         // Tight radius: FRA must build relay chains, which are
         // inherently fragile.
         let fra = FraBuilder::new(30, 8.0).grid(grid).run(&field).unwrap();
-        let report = analyze_deployment(&field, &fra.positions, 8.0, &grid).unwrap();
+        let report =
+            analyze_deployment_with(&field, &fra.positions, 8.0, &grid, Parallelism::serial())
+                .unwrap();
         assert!(report.evaluation.connected);
         assert!(
             !report.articulation_points.is_empty(),
@@ -518,7 +501,8 @@ mod tests {
             Point2::new(1.0, 0.0),
             Point2::new(99.0, 99.0),
         ];
-        let report = analyze_deployment(&field, &nodes, 5.0, &grid).unwrap();
+        let report =
+            analyze_deployment_with(&field, &nodes, 5.0, &grid, Parallelism::serial()).unwrap();
         assert!(!report.evaluation.connected);
         assert_eq!(report.network_diameter, None);
     }

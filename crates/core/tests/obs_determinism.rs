@@ -4,6 +4,7 @@
 //! nonzero counters and phase timings.
 
 use cps_core::osd::FraBuilder;
+use cps_core::EvalOptions;
 use cps_field::{Parallelism, PeaksField};
 use cps_geometry::{GridSpec, Rect};
 
@@ -15,7 +16,7 @@ fn metrics_collection_does_not_perturb_fra() {
     let run = |par| {
         FraBuilder::new(18, 10.0)
             .grid(grid)
-            .parallelism(par)
+            .evaluator(EvalOptions::new().parallelism(par))
             .run(&f)
             .unwrap()
     };

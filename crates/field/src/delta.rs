@@ -19,10 +19,10 @@
 //! Every quadrature here is evaluated row by row: each grid row is
 //! summed left to right into a private partial, and the row partials
 //! are folded in row order. Because that operation order never depends
-//! on how rows are distributed, the `_with` variants taking a
-//! [`Parallelism`] return results **bit-identical** to the serial
-//! functions at any thread count (property-tested in
-//! `tests/parallel_delta.rs`).
+//! on how rows are distributed, each function returns results
+//! **bit-identical** at any thread count of the [`Parallelism`] it
+//! takes (property-tested in `tests/parallel_delta.rs`); pass
+//! [`Parallelism::serial`] to stay on the calling thread.
 
 use cps_geometry::GridSpec;
 
@@ -48,7 +48,7 @@ pub(crate) fn weight(grid: &GridSpec, i: usize, j: usize) -> f64 {
 
 /// Weighted sum of `combine(f, g)` over row `j`, left to right — the
 /// unit of work the parallel engine shards, and the canonical operand
-/// order both serial and parallel reductions share.
+/// order of every reduction.
 #[inline]
 fn row_sum<F, G, C>(f: &F, g: &G, grid: &GridSpec, j: usize, combine: &C) -> f64
 where
@@ -65,25 +65,9 @@ where
 }
 
 /// Integrates an arbitrary pointwise combination of two fields over the
-/// grid (row-by-row reduction; see the module docs).
-pub fn integrate2<F, G, C>(f: &F, g: &G, grid: &GridSpec, combine: C) -> f64
-where
-    F: Field,
-    G: Field,
-    C: Fn(f64, f64) -> f64,
-{
-    let _timer = cps_obs::time(cps_obs::Phase::DeltaQuadrature, 1);
-    let mut total = 0.0;
-    for j in 0..grid.ny() {
-        total += row_sum(f, g, grid, j, &combine);
-    }
-    total * grid.cell_area()
-}
-
-/// Parallel [`integrate2`]: rows are sharded across `par.threads()`
-/// scoped threads and reduced in row order, so the result is
-/// bit-identical to the serial function.
-pub fn integrate2_with<F, G, C>(f: &F, g: &G, grid: &GridSpec, par: Parallelism, combine: C) -> f64
+/// grid: rows are sharded across `par.threads()` pool workers and
+/// reduced in row order (see the module docs).
+fn integrate2_with<F, G, C>(f: &F, g: &G, grid: &GridSpec, par: Parallelism, combine: C) -> f64
 where
     F: Field + Sync,
     G: Field + Sync,
@@ -103,21 +87,15 @@ where
 /// # Example
 ///
 /// ```
-/// use cps_field::{delta::volume_difference, PlaneField};
+/// use cps_field::{delta::volume_difference_with, Parallelism, PlaneField};
 /// use cps_geometry::{GridSpec, Rect};
 ///
 /// let grid = GridSpec::new(Rect::square(10.0).unwrap(), 11, 11).unwrap();
 /// let f = PlaneField::new(0.0, 0.0, 3.0);
 /// let g = PlaneField::new(0.0, 0.0, 1.0);
-/// let d = volume_difference(&f, &g, &grid);
+/// let d = volume_difference_with(&f, &g, &grid, Parallelism::serial());
 /// assert!((d - 200.0).abs() < 1e-9); // |3−1| × area 100
 /// ```
-pub fn volume_difference<F: Field, G: Field>(f: &F, g: &G, grid: &GridSpec) -> f64 {
-    integrate2(f, g, grid, |a, b| (a - b).abs())
-}
-
-/// Parallel [`volume_difference`]; bit-identical to the serial function
-/// at any thread count.
 pub fn volume_difference_with<F: Field + Sync, G: Field + Sync>(
     f: &F,
     g: &G,
@@ -129,21 +107,6 @@ pub fn volume_difference_with<F: Field + Sync, G: Field + Sync>(
 
 /// Volume under a single surface, `∬ f dA` (Eqn. 4/5). For surfaces that
 /// dip below zero the integral is signed.
-pub fn volume<F: Field>(f: &F, grid: &GridSpec) -> f64 {
-    let _timer = cps_obs::time(cps_obs::Phase::DeltaQuadrature, 1);
-    let mut total = 0.0;
-    for j in 0..grid.ny() {
-        let mut row = 0.0;
-        for i in 0..grid.nx() {
-            row += weight(grid, i, j) * f.value(grid.point(i, j));
-        }
-        total += row;
-    }
-    total * grid.cell_area()
-}
-
-/// Parallel [`volume`]; bit-identical to the serial function at any
-/// thread count.
 pub fn volume_with<F: Field + Sync>(f: &F, grid: &GridSpec, par: Parallelism) -> f64 {
     let _timer = cps_obs::time(cps_obs::Phase::DeltaQuadrature, par.threads());
     let rows = map_rows(grid.ny(), par, |j| {
@@ -161,12 +124,6 @@ pub fn volume_with<F: Field + Sync>(f: &F, grid: &GridSpec, par: Parallelism) ->
 }
 
 /// `|V(f) ∪ V(g)| = ∬ max(f, g) dA` (Eqn. 6).
-pub fn union_volume<F: Field, G: Field>(f: &F, g: &G, grid: &GridSpec) -> f64 {
-    integrate2(f, g, grid, f64::max)
-}
-
-/// Parallel [`union_volume`]; bit-identical to the serial function at
-/// any thread count.
 pub fn union_volume_with<F: Field + Sync, G: Field + Sync>(
     f: &F,
     g: &G,
@@ -177,12 +134,6 @@ pub fn union_volume_with<F: Field + Sync, G: Field + Sync>(
 }
 
 /// `|V(f) ∩ V(g)| = ∬ min(f, g) dA` (Eqn. 7).
-pub fn intersection_volume<F: Field, G: Field>(f: &F, g: &G, grid: &GridSpec) -> f64 {
-    integrate2(f, g, grid, f64::min)
-}
-
-/// Parallel [`intersection_volume`]; bit-identical to the serial
-/// function at any thread count.
 pub fn intersection_volume_with<F: Field + Sync, G: Field + Sync>(
     f: &F,
     g: &G,
@@ -206,17 +157,6 @@ fn row_sum_squares<F: Field, G: Field>(f: &F, g: &G, grid: &GridSpec, j: usize) 
 
 /// Root-mean-square pointwise difference over the grid — a secondary
 /// error metric reported alongside δ in the experiment harnesses.
-pub fn rms_difference<F: Field, G: Field>(f: &F, g: &G, grid: &GridSpec) -> f64 {
-    let _timer = cps_obs::time(cps_obs::Phase::DeltaQuadrature, 1);
-    let mut ss = 0.0;
-    for j in 0..grid.ny() {
-        ss += row_sum_squares(f, g, grid, j);
-    }
-    (ss / grid.len() as f64).sqrt()
-}
-
-/// Parallel [`rms_difference`]; bit-identical to the serial function at
-/// any thread count.
 pub fn rms_difference_with<F: Field + Sync, G: Field + Sync>(
     f: &F,
     g: &G,
@@ -245,15 +185,18 @@ mod tests {
     #[test]
     fn delta_of_identical_surfaces_is_zero() {
         let f = PeaksField::new(Rect::square(10.0).unwrap(), 5.0);
-        assert_eq!(volume_difference(&f, &f, &grid()), 0.0);
+        assert_eq!(
+            volume_difference_with(&f, &f, &grid(), Parallelism::serial()),
+            0.0
+        );
     }
 
     #[test]
     fn delta_is_symmetric_and_nonnegative() {
         let f = PlaneField::new(1.0, 0.0, 0.0);
         let g = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 4.0, 2.0);
-        let d1 = volume_difference(&f, &g, &grid());
-        let d2 = volume_difference(&g, &f, &grid());
+        let d1 = volume_difference_with(&f, &g, &grid(), Parallelism::serial());
+        let d2 = volume_difference_with(&g, &f, &grid(), Parallelism::serial());
         assert!(d1 > 0.0);
         assert!((d1 - d2).abs() < 1e-12);
     }
@@ -263,23 +206,23 @@ mod tests {
         // Theorem 3.1: |V∪V*| − |V∩V*| = ∬|f − g|.
         let f = PlaneField::new(0.5, -0.2, 3.0);
         let g = GaussianBlob::isotropic(Point2::new(4.0, 6.0), 5.0, 2.0);
-        let u = union_volume(&f, &g, &grid());
-        let i = intersection_volume(&f, &g, &grid());
-        let d = volume_difference(&f, &g, &grid());
+        let u = union_volume_with(&f, &g, &grid(), Parallelism::serial());
+        let i = intersection_volume_with(&f, &g, &grid(), Parallelism::serial());
+        let d = volume_difference_with(&f, &g, &grid(), Parallelism::serial());
         assert!((u - i - d).abs() < 1e-9);
     }
 
     #[test]
     fn volume_of_constant_field() {
         let f = PlaneField::new(0.0, 0.0, 2.5);
-        assert!((volume(&f, &grid()) - 250.0).abs() < 1e-9);
+        assert!((volume_with(&f, &grid(), Parallelism::serial()) - 250.0).abs() < 1e-9);
     }
 
     #[test]
     fn volume_of_linear_ramp() {
         // ∬ x dA over [0,10]² = 500.
         let f = PlaneField::new(1.0, 0.0, 0.0);
-        assert!((volume(&f, &grid()) - 500.0).abs() < 1e-9);
+        assert!((volume_with(&f, &grid(), Parallelism::serial()) - 500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -290,22 +233,25 @@ mod tests {
         let rect = Rect::square(10.0).unwrap();
         let tiny = GridSpec::new(rect, 2, 2).unwrap();
         let c = PlaneField::new(0.0, 0.0, 3.0);
-        assert!((volume(&c, &tiny) - 300.0).abs() < 1e-12);
+        assert!((volume_with(&c, &tiny, Parallelism::serial()) - 300.0).abs() < 1e-12);
         // ∬ x dA over [0,10]² = 500: the trapezoid rule is exact for
         // linear integrands even on a single cell.
         let ramp = PlaneField::new(1.0, 0.0, 0.0);
-        assert!((volume(&ramp, &tiny) - 500.0).abs() < 1e-12);
+        assert!((volume_with(&ramp, &tiny, Parallelism::serial()) - 500.0).abs() < 1e-12);
         // δ against itself stays exactly zero, and the parallel engine
         // agrees bit-for-bit even when rows outnumber workers requests.
-        assert_eq!(volume_difference(&c, &c, &tiny), 0.0);
-        let serial = volume_difference(&c, &ramp, &tiny);
+        assert_eq!(
+            volume_difference_with(&c, &c, &tiny, Parallelism::serial()),
+            0.0
+        );
+        let serial = volume_difference_with(&c, &ramp, &tiny, Parallelism::serial());
         for par in [Parallelism::fixed(2), Parallelism::fixed(7)] {
             let p = volume_difference_with(&c, &ramp, &tiny, par);
             assert_eq!(serial.to_bits(), p.to_bits());
         }
         // Asymmetric degenerate strip: 2 columns, many rows.
         let strip = GridSpec::new(rect, 2, 9).unwrap();
-        assert!((volume(&c, &strip) - 300.0).abs() < 1e-12);
+        assert!((volume_with(&c, &strip, Parallelism::serial()) - 300.0).abs() < 1e-12);
     }
 
     #[test]
@@ -313,9 +259,9 @@ mod tests {
         let f = PlaneField::new(1.0, 0.0, 0.0);
         let g = PlaneField::new(0.0, 1.0, 0.0);
         let h = GaussianBlob::isotropic(Point2::new(5.0, 5.0), 3.0, 3.0);
-        let fg = volume_difference(&f, &g, &grid());
-        let fh = volume_difference(&f, &h, &grid());
-        let hg = volume_difference(&h, &g, &grid());
+        let fg = volume_difference_with(&f, &g, &grid(), Parallelism::serial());
+        let fh = volume_difference_with(&f, &h, &grid(), Parallelism::serial());
+        let hg = volume_difference_with(&h, &g, &grid(), Parallelism::serial());
         assert!(fg <= fh + hg + 1e-9);
     }
 
@@ -323,7 +269,7 @@ mod tests {
     fn rms_difference_of_constant_offset() {
         let f = PlaneField::new(0.0, 0.0, 1.0);
         let g = PlaneField::new(0.0, 0.0, 4.0);
-        assert!((rms_difference(&f, &g, &grid()) - 3.0).abs() < 1e-12);
+        assert!((rms_difference_with(&f, &g, &grid(), Parallelism::serial()) - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -339,24 +285,24 @@ mod tests {
         ] {
             assert_eq!(
                 volume_difference_with(&f, &g, &grid, par).to_bits(),
-                volume_difference(&f, &g, &grid).to_bits(),
+                volume_difference_with(&f, &g, &grid, Parallelism::serial()).to_bits(),
                 "volume_difference with {par:?}"
             );
             assert_eq!(
                 union_volume_with(&f, &g, &grid, par).to_bits(),
-                union_volume(&f, &g, &grid).to_bits()
+                union_volume_with(&f, &g, &grid, Parallelism::serial()).to_bits()
             );
             assert_eq!(
                 intersection_volume_with(&f, &g, &grid, par).to_bits(),
-                intersection_volume(&f, &g, &grid).to_bits()
+                intersection_volume_with(&f, &g, &grid, Parallelism::serial()).to_bits()
             );
             assert_eq!(
                 volume_with(&f, &grid, par).to_bits(),
-                volume(&f, &grid).to_bits()
+                volume_with(&f, &grid, Parallelism::serial()).to_bits()
             );
             assert_eq!(
                 rms_difference_with(&f, &g, &grid, par).to_bits(),
-                rms_difference(&f, &g, &grid).to_bits()
+                rms_difference_with(&f, &g, &grid, Parallelism::serial()).to_bits()
             );
         }
     }
@@ -368,9 +314,24 @@ mod tests {
         let region = Rect::square(10.0).unwrap();
         let f = PeaksField::new(region, 5.0);
         let g = PlaneField::new(0.0, 0.0, 0.0);
-        let coarse = volume_difference(&f, &g, &GridSpec::new(region, 11, 11).unwrap());
-        let fine = volume_difference(&f, &g, &GridSpec::new(region, 81, 81).unwrap());
-        let reference = volume_difference(&f, &g, &GridSpec::new(region, 161, 161).unwrap());
+        let coarse = volume_difference_with(
+            &f,
+            &g,
+            &GridSpec::new(region, 11, 11).unwrap(),
+            Parallelism::serial(),
+        );
+        let fine = volume_difference_with(
+            &f,
+            &g,
+            &GridSpec::new(region, 81, 81).unwrap(),
+            Parallelism::serial(),
+        );
+        let reference = volume_difference_with(
+            &f,
+            &g,
+            &GridSpec::new(region, 161, 161).unwrap(),
+            Parallelism::serial(),
+        );
         assert!((fine - reference).abs() < (coarse - reference).abs());
     }
 }

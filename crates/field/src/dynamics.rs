@@ -51,47 +51,6 @@ impl<F: Field> TimeVaryingField for DriftingField<F> {
     }
 }
 
-/// A field whose amplitude is modulated by a diurnal (sinusoidal)
-/// cycle around a base level, mimicking light/temperature daily swings.
-///
-/// `value_at(p, t) = base(p) · (1 + depth·sin(2π·(t − phase)/period))`
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiurnalField<F> {
-    inner: F,
-    period: f64,
-    depth: f64,
-    phase: f64,
-}
-
-impl<F: Field> DiurnalField<F> {
-    /// Creates a diurnal modulation with the given `period` (time
-    /// units per cycle), relative modulation `depth` (0 = constant) and
-    /// `phase` offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FieldError::NonFiniteValue`] when `period` is zero or
-    /// not finite.
-    pub fn new(inner: F, period: f64, depth: f64, phase: f64) -> Result<Self, FieldError> {
-        if period == 0.0 || !period.is_finite() || !depth.is_finite() {
-            return Err(FieldError::NonFiniteValue);
-        }
-        Ok(DiurnalField {
-            inner,
-            period,
-            depth,
-            phase,
-        })
-    }
-}
-
-impl<F: Field> TimeVaryingField for DiurnalField<F> {
-    fn value_at(&self, p: Point2, t: f64) -> f64 {
-        let m = 1.0 + self.depth * (std::f64::consts::TAU * (t - self.phase) / self.period).sin();
-        self.inner.value(p) * m
-    }
-}
-
 /// A time-varying field defined by snapshots ("keyframes") at known
 /// instants, linearly interpolated in time and clamped outside the
 /// covered interval. Backed by [`GridField`] snapshots — the natural
@@ -184,17 +143,6 @@ mod tests {
         assert_eq!(f.value_at(p, 0.0), 10.0);
         assert_eq!(f.value_at(p, 3.0), 4.0);
         assert_eq!(f.velocity(), Vec2::new(2.0, 0.0));
-    }
-
-    #[test]
-    fn diurnal_modulates_and_validates() {
-        let f = DiurnalField::new(PlaneField::new(0.0, 0.0, 10.0), 24.0, 0.5, 0.0).unwrap();
-        let p = Point2::ORIGIN;
-        assert!((f.value_at(p, 0.0) - 10.0).abs() < 1e-12);
-        assert!((f.value_at(p, 6.0) - 15.0).abs() < 1e-12); // quarter cycle
-        assert!((f.value_at(p, 18.0) - 5.0).abs() < 1e-12);
-        assert!(DiurnalField::new(PlaneField::default(), 0.0, 0.5, 0.0).is_err());
-        assert!(DiurnalField::new(PlaneField::default(), f64::NAN, 0.5, 0.0).is_err());
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!   paper's Fig. 3 — plus planes, paraboloids, Gaussian mixtures);
 //! * sampled surfaces on regular grids with bilinear interpolation
 //!   ([`GridField`]);
-//! * time dynamics ([`DriftingField`], [`DiurnalField`],
-//!   [`KeyframeField`]);
+//! * time dynamics ([`DriftingField`], [`KeyframeField`]);
 //! * the reconstruction surface `z* = DT(x, y)` built from scattered
 //!   samples by Delaunay triangulation ([`ReconstructedSurface`]);
 //! * the paper's quality metric `δ` — the volume difference between two
@@ -28,7 +27,7 @@
 //! # Example
 //!
 //! ```
-//! use cps_field::{delta, Field, PeaksField, ReconstructedSurface};
+//! use cps_field::{delta, Field, Parallelism, PeaksField, ReconstructedSurface};
 //! use cps_geometry::{GridSpec, Point2, Rect};
 //!
 //! let region = Rect::square(100.0).unwrap();
@@ -42,7 +41,7 @@
 //! let samples: Vec<f64> = positions.iter().map(|&p| reference.value(p)).collect();
 //! let rebuilt = ReconstructedSurface::from_samples(region, &positions, &samples).unwrap();
 //! let grid = GridSpec::new(region, 51, 51).unwrap();
-//! let d = delta::volume_difference(&reference, &rebuilt, &grid);
+//! let d = delta::volume_difference_with(&reference, &rebuilt, &grid, Parallelism::serial());
 //! assert!(d > 0.0); // five samples cannot capture peaks exactly
 //! ```
 
@@ -50,13 +49,11 @@
 #![forbid(unsafe_code)]
 
 mod analytic;
-pub mod calculus;
 pub mod delta;
 mod dynamics;
 mod error;
 mod grid;
 mod noise;
-mod ops;
 pub mod par;
 pub mod raster;
 mod reconstruct;
@@ -65,11 +62,10 @@ mod traits;
 pub use analytic::{
     GaussianBlob, GaussianMixtureField, ParaboloidField, PeaksField, PlaneField, RidgeField,
 };
-pub use dynamics::{DiurnalField, DriftingField, KeyframeField};
+pub use dynamics::{DriftingField, KeyframeField};
 pub use error::FieldError;
 pub use grid::GridField;
 pub use noise::NoiseField;
-pub use ops::{ClampedField, ScaledField, SumField, TranslatedField};
 pub use par::Parallelism;
 pub use raster::{DeltaTotals, RasterPlan};
 pub use reconstruct::ReconstructedSurface;

@@ -110,11 +110,6 @@ impl Parallelism {
         }
         self.threads().min(items.max(1))
     }
-
-    /// Whether execution would stay on the calling thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads() <= 1
-    }
 }
 
 /// The OS's core count, asked once per process: the query reads the
@@ -200,7 +195,6 @@ mod tests {
     #[test]
     fn policies_resolve_to_expected_counts() {
         assert_eq!(Parallelism::serial().threads(), 1);
-        assert!(Parallelism::serial().is_serial());
         assert_eq!(Parallelism::fixed(3).threads(), 3);
         assert_eq!(Parallelism::fixed(0).threads(), 1);
         assert!(Parallelism::auto().threads() >= 1);

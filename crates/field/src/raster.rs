@@ -355,7 +355,7 @@ pub fn delta_rms_raster<F: Field + Sync>(
 mod tests {
     use super::*;
     use crate::analytic::{PeaksField, PlaneField};
-    use crate::delta::{rms_difference, volume_difference};
+    use crate::delta::{rms_difference_with, volume_difference_with};
     use cps_geometry::Rect;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -380,8 +380,8 @@ mod tests {
     fn raster_quadrature_matches_walk_within_tolerance() {
         let (region, reference, surface) = scattered_surface(60, 9);
         let grid = GridSpec::new(region, 81, 81).unwrap();
-        let walk_delta = volume_difference(&reference, &surface, &grid);
-        let walk_rms = rms_difference(&reference, &surface, &grid);
+        let walk_delta = volume_difference_with(&reference, &surface, &grid, Parallelism::serial());
+        let walk_rms = rms_difference_with(&reference, &surface, &grid, Parallelism::serial());
         let got = delta_rms_raster(&reference, &surface, &grid, Parallelism::serial());
         assert!(
             (got.delta - walk_delta).abs() <= 1e-9 * walk_delta.abs().max(1.0),
@@ -422,7 +422,7 @@ mod tests {
         assert!(got.delta < 1e-9, "interior plane delta {}", got.delta);
         // Hull-exterior cells go through extrapolation: identical to
         // the walk kernel by construction (same fallback call).
-        let walk = volume_difference(&plane, &surface, &grid);
+        let walk = volume_difference_with(&plane, &surface, &grid, Parallelism::serial());
         let full = delta_rms_raster(&plane, &surface, &grid, Parallelism::serial());
         assert!((full.delta - walk).abs() <= 1e-9 * walk.max(1.0));
     }

@@ -2,7 +2,7 @@
 
 use cps_field::{
     delta, DriftingField, Field, GaussianBlob, GaussianMixtureField, GridField, KeyframeField,
-    PeaksField, Static, TimeVaryingField,
+    Parallelism, PeaksField, Static, TimeVaryingField,
 };
 use cps_geometry::{GridSpec, Point2, Rect};
 use cps_linalg::Vec2;
@@ -92,8 +92,8 @@ proptest! {
         let eval = GridSpec::new(region, 41, 41).unwrap();
         let coarse = GridField::from_field(GridSpec::new(region, 6, 6).unwrap(), &field);
         let fine = GridField::from_field(GridSpec::new(region, 21, 21).unwrap(), &field);
-        let d_coarse = delta::volume_difference(&field, &coarse, &eval);
-        let d_fine = delta::volume_difference(&field, &fine, &eval);
+        let d_coarse = delta::volume_difference_with(&field, &coarse, &eval, Parallelism::serial());
+        let d_fine = delta::volume_difference_with(&field, &fine, &eval, Parallelism::serial());
         prop_assert!(d_fine <= d_coarse + 1e-9, "fine {d_fine} vs coarse {d_coarse}");
     }
 
@@ -146,12 +146,12 @@ proptest! {
     #[test]
     fn delta_is_a_pseudometric(f in blobs_strategy(), g in blobs_strategy(), h in blobs_strategy()) {
         let grid = GridSpec::new(Rect::square(50.0).unwrap(), 21, 21).unwrap();
-        let dfg = delta::volume_difference(&f, &g, &grid);
-        let dgf = delta::volume_difference(&g, &f, &grid);
+        let dfg = delta::volume_difference_with(&f, &g, &grid, Parallelism::serial());
+        let dgf = delta::volume_difference_with(&g, &f, &grid, Parallelism::serial());
         prop_assert!((dfg - dgf).abs() < 1e-9);
-        prop_assert_eq!(delta::volume_difference(&f, &f, &grid), 0.0);
-        let dfh = delta::volume_difference(&f, &h, &grid);
-        let dhg = delta::volume_difference(&h, &g, &grid);
+        prop_assert_eq!(delta::volume_difference_with(&f, &f, &grid, Parallelism::serial()), 0.0);
+        let dfh = delta::volume_difference_with(&f, &h, &grid, Parallelism::serial());
+        let dhg = delta::volume_difference_with(&h, &g, &grid, Parallelism::serial());
         prop_assert!(dfg <= dfh + dhg + 1e-9);
     }
 }

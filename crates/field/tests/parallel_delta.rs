@@ -1,11 +1,9 @@
-//! Property tests for the parallel evaluation engine: the `_with`
-//! quadrature variants must be **bit-identical** to their serial
-//! counterparts for arbitrary fields, grid shapes, and thread counts.
+//! Property tests for the parallel evaluation engine: every quadrature
+//! must be **bit-identical** under any thread policy to its
+//! [`Parallelism::serial`] result, for arbitrary fields, grid shapes,
+//! and thread counts.
 
-use cps_field::delta::{
-    intersection_volume, intersection_volume_with, union_volume, union_volume_with,
-    volume_difference, volume_difference_with,
-};
+use cps_field::delta::{intersection_volume_with, union_volume_with, volume_difference_with};
 use cps_field::{Field, GaussianBlob, GaussianMixtureField, Parallelism, ReconstructedSurface};
 use cps_geometry::{GridSpec, Point2, Rect};
 use proptest::prelude::*;
@@ -51,7 +49,7 @@ proptest! {
         grid in grid_strategy(),
         threads in 1..9usize,
     ) {
-        let serial = volume_difference(&f, &g, &grid);
+        let serial = volume_difference_with(&f, &g, &grid, Parallelism::serial());
         let parallel = volume_difference_with(&f, &g, &grid, Parallelism::fixed(threads));
         prop_assert_eq!(serial.to_bits(), parallel.to_bits());
         // Auto must agree too, whatever the machine's core count is.
@@ -70,11 +68,11 @@ proptest! {
         let grid = GridSpec::new(region(), 33, 21).unwrap();
         let par = Parallelism::fixed(threads);
         prop_assert_eq!(
-            union_volume(&f, &g, &grid).to_bits(),
+            union_volume_with(&f, &g, &grid, Parallelism::serial()).to_bits(),
             union_volume_with(&f, &g, &grid, par).to_bits()
         );
         prop_assert_eq!(
-            intersection_volume(&f, &g, &grid).to_bits(),
+            intersection_volume_with(&f, &g, &grid, Parallelism::serial()).to_bits(),
             intersection_volume_with(&f, &g, &grid, par).to_bits()
         );
     }
@@ -96,7 +94,7 @@ proptest! {
         let samples: Vec<f64> = positions.iter().map(|&p| f.value(p)).collect();
         let surf = ReconstructedSurface::from_samples(region(), &positions, &samples).unwrap();
         let grid = GridSpec::new(region(), 41, 41).unwrap();
-        let serial = volume_difference(&f, &surf, &grid);
+        let serial = volume_difference_with(&f, &surf, &grid, Parallelism::serial());
         let parallel = volume_difference_with(&f, &surf, &grid, Parallelism::fixed(threads));
         prop_assert_eq!(serial.to_bits(), parallel.to_bits());
     }

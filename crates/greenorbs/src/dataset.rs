@@ -1,6 +1,6 @@
 //! The queryable sensing dataset.
 
-use cps_field::{GridField, KeyframeField, Parallelism};
+use cps_field::{GridField, Parallelism};
 use cps_geometry::{GridSpec, Point2, Rect};
 use serde::{Deserialize, Serialize};
 
@@ -203,61 +203,12 @@ impl Dataset {
             values.next().expect("one value per grid point")
         }))
     }
-
-    /// Builds a time-varying field from consecutive hourly snapshots,
-    /// keyed in **minutes** (hour `h` sits at `t = 60·h`) — the ground
-    /// truth for the OSTD simulations, which step in minutes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Dataset::region_field`] errors; `hour_range` must
-    /// contain at least one hour.
-    pub fn keyframe_field(
-        &self,
-        region: Rect,
-        channel: Channel,
-        hour_range: std::ops::Range<u32>,
-        resolution: usize,
-    ) -> Result<KeyframeField, TraceError> {
-        self.keyframe_field_with_bandwidth(
-            region,
-            channel,
-            hour_range,
-            resolution,
-            DEFAULT_KERNEL_BANDWIDTH,
-            Parallelism::auto(),
-        )
-    }
-
-    /// [`Dataset::keyframe_field`] with an explicit kernel bandwidth and
-    /// thread policy (see [`Dataset::region_field_with_bandwidth`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Dataset::keyframe_field`].
-    pub fn keyframe_field_with_bandwidth(
-        &self,
-        region: Rect,
-        channel: Channel,
-        hour_range: std::ops::Range<u32>,
-        resolution: usize,
-        bandwidth: f64,
-        par: Parallelism,
-    ) -> Result<KeyframeField, TraceError> {
-        let mut frames = Vec::new();
-        for hour in hour_range {
-            let f = self
-                .region_field_with_bandwidth(region, channel, hour, resolution, bandwidth, par)?;
-            frames.push((60.0 * hour as f64, f));
-        }
-        Ok(KeyframeField::new(frames)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cps_field::{Field, TimeVaryingField};
+    use cps_field::{Field, KeyframeField, TimeVaryingField};
 
     fn small_dataset() -> Dataset {
         Dataset::generate(&ForestConfig {
@@ -461,11 +412,17 @@ mod tests {
 
     #[test]
     fn keyframes_interpolate_between_hours() {
+        // Hourly region fields keyed in minutes are the OSTD ground
+        // truth: hour `h` sits at `t = 60·h`.
         let d = small_dataset();
         let region = Rect::new(Point2::new(20.0, 20.0), Point2::new(120.0, 120.0)).unwrap();
-        let kf = d
-            .keyframe_field(region, Channel::Light, 10..13, 31)
-            .unwrap();
+        let frames = (10..13)
+            .map(|hour| {
+                let f = d.region_field(region, Channel::Light, hour, 31).unwrap();
+                (60.0 * f64::from(hour), f)
+            })
+            .collect();
+        let kf = KeyframeField::new(frames).unwrap();
         let p = Point2::new(60.0, 60.0);
         let at10 = kf.value_at(p, 600.0);
         let at11 = kf.value_at(p, 660.0);

@@ -47,10 +47,8 @@ mod error;
 mod generator;
 mod records;
 mod smooth;
-mod stats;
 
 pub use dataset::{Dataset, DEFAULT_KERNEL_BANDWIDTH};
 pub use error::TraceError;
 pub use generator::{ForestConfig, LatentLightField};
 pub use records::{Channel, NodeMeta, SensorReading};
-pub use stats::DailyProfile;

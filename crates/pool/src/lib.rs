@@ -18,12 +18,26 @@
 //! over the completion channel, and re-raised on the calling thread once the
 //! batch has fully drained.
 //!
+//! # Nesting
+//!
+//! A batch started on a thread that is already inside one — a worker
+//! running a job, or a caller running its `local` share — runs its jobs
+//! inline on that thread instead of queueing them. Queueing would
+//! deadlock as soon as every worker is blocked in such a nested batch:
+//! each waits on a queued job that no idle worker is left to take. One
+//! thread-local flag, `IN_BATCH`, marks those threads. The inline path
+//! keeps the same contract (every job runs exactly once, and panics are
+//! re-raised only after all of them finished), so callers built on the
+//! chunk-counter pattern get the same results, only without the extra
+//! threads.
+//!
 //! This is the only crate in the workspace that contains `unsafe`; everything
 //! above it (`cps-field`, `cps-core`, …) keeps `#![forbid(unsafe_code)]`.
 
 #![deny(missing_docs)]
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -72,7 +86,15 @@ impl WorkerPool {
     }
 }
 
+thread_local! {
+    /// Whether this thread is running a job or a caller's `local`
+    /// share; a batch started here runs inline (see the crate docs).
+    static IN_BATCH: Cell<bool> = const { Cell::new(false) };
+}
+
 fn worker_loop(queue: Arc<Mutex<Receiver<QueueItem>>>) {
+    // A worker only ever runs jobs, so it is inside a batch for life.
+    IN_BATCH.set(true);
     loop {
         // Take one job under the lock, then release it before running so a
         // panicking job cannot poison the queue for other workers.
@@ -93,11 +115,6 @@ fn global() -> &'static WorkerPool {
     POOL.get_or_init(WorkerPool::new)
 }
 
-/// Number of workers the global pool has spawned so far (for diagnostics).
-pub fn spawned_workers() -> usize {
-    *global().spawned.lock().expect("pool spawn lock")
-}
-
 /// Runs `jobs` on pool workers while executing `local` on the calling
 /// thread, then blocks until every job has completed.
 ///
@@ -108,7 +125,14 @@ pub fn spawned_workers() -> usize {
 ///
 /// If any job — or `local` itself — panics, the panic is re-raised here, but
 /// only after every submitted job has finished, so borrows never escape.
+///
+/// Called from inside a batch (on a worker, or within another call's
+/// `local`), it runs `local` and then every job on the calling thread;
+/// see the crate-level notes on nesting.
 pub fn run_with<'a>(jobs: Vec<Job<'a>>, local: impl FnOnce()) {
+    if IN_BATCH.get() {
+        return run_inline(jobs, local);
+    }
     let pool = global();
     pool.ensure_workers(jobs.len());
     let count = jobs.len();
@@ -128,7 +152,9 @@ pub fn run_with<'a>(jobs: Vec<Job<'a>>, local: impl FnOnce()) {
     }
     drop(done_tx);
 
+    IN_BATCH.set(true);
     let local_result = catch_unwind(AssertUnwindSafe(local));
+    IN_BATCH.set(false);
 
     // Closure-death barrier: every job must signal before we return (or
     // unwind), whether it succeeded or panicked.
@@ -144,7 +170,25 @@ pub fn run_with<'a>(jobs: Vec<Job<'a>>, local: impl FnOnce()) {
             Err(_) => panic!("pool worker vanished mid-batch"),
         }
     }
+    reraise(local_result, first_panic);
+}
 
+/// The nested form of [`run_with`]: `local`, then each job, all on the
+/// calling thread, with the same panic contract.
+fn run_inline<'a>(jobs: Vec<Job<'a>>, local: impl FnOnce()) {
+    let local_result = catch_unwind(AssertUnwindSafe(local));
+    let mut first_panic: Option<Box<dyn Any + Send>> = None;
+    for job in jobs {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
+            first_panic.get_or_insert(payload);
+        }
+    }
+    reraise(local_result, first_panic);
+}
+
+/// Re-raises a finished batch's panic: `local`'s first, then the first
+/// job's.
+fn reraise(local_result: thread::Result<()>, first_panic: Option<Box<dyn Any + Send>>) {
     if let Err(payload) = local_result {
         resume_unwind(payload);
     }
@@ -180,10 +224,11 @@ mod tests {
             let jobs: Vec<Job<'_>> = (0..4).map(|_| Box::new(|| {}) as Job<'_>).collect();
             run_with(jobs, || {});
         }
-        let after_first = spawned_workers();
+        let spawned = || *global().spawned.lock().expect("pool spawn lock");
+        let after_first = spawned();
         let jobs: Vec<Job<'_>> = (0..4).map(|_| Box::new(|| {}) as Job<'_>).collect();
         run_with(jobs, || {});
-        assert_eq!(spawned_workers(), after_first, "pool must not respawn");
+        assert_eq!(spawned(), after_first, "pool must not respawn");
         assert!(after_first >= 4);
     }
 
@@ -246,6 +291,27 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(done.load(Ordering::Relaxed), 4, "jobs finish before unwind");
+    }
+
+    #[test]
+    fn nested_batches_run_inline_with_the_same_panic_contract() {
+        let ran = AtomicUsize::new(0);
+        let outer: Vec<Job<'_>> = vec![Box::new(|| {
+            let nested = catch_unwind(AssertUnwindSafe(|| {
+                let inner: Vec<Job<'_>> = vec![
+                    Box::new(|| panic!("inner boom")),
+                    Box::new(|| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    }),
+                ];
+                run_with(inner, || {
+                    ran.fetch_add(10, Ordering::Relaxed);
+                });
+            }));
+            assert!(nested.is_err(), "a nested job's panic must propagate");
+        })];
+        run_with(outer, || {});
+        assert_eq!(ran.load(Ordering::Relaxed), 11, "every nested job ran");
     }
 
     #[test]

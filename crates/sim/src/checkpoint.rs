@@ -4,8 +4,8 @@
 //! A [`SimSnapshot`] captures everything
 //! [`Simulation::step`](crate::Simulation::step) depends on — the slot
 //! clock, the full [`MobileNode`] fleet (positions, curvatures, travel
-//! odometers, alive flags), the CMA configuration in effect (including
-//! mid-run overrides), the gossiped curvature scale, and the complete
+//! odometers, alive flags), the CMA configuration in effect, the
+//! gossiped curvature scale, and the complete
 //! fault-runtime state (plan, slot cursor, battery levels, stuck-sensor
 //! freezes, accumulated events) — plus, optionally, the app-level
 //! [`DeltaTimeline`] records and survivability tracker so a resumed run
@@ -118,7 +118,7 @@ pub struct SimSnapshot {
     pub max_speed: f64,
     /// Force-balance weight `β`.
     pub beta: f64,
-    /// The CMA parameters in effect, including any mid-run overrides.
+    /// The CMA parameters in effect.
     pub cma: CmaConfig,
     /// Region of interest.
     #[serde(with = "rect")]

@@ -9,7 +9,8 @@ use cps_geometry::{within, Point2, Rect};
 use crate::checkpoint::{corrupt, SimSnapshot};
 use crate::fault::{FaultEvent, FaultPlan, FaultState};
 
-/// Simulation parameters.
+/// Simulation parameters. The thread policy is not one of them: it
+/// is a speed setting, held once per run by [`CmaBuilder::evaluator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Node capabilities (`Rc`, `Rs`, `v`, `β`).
@@ -19,10 +20,6 @@ pub struct SimConfig {
     /// Spacing of the sensing sample lattice within `Rs`; the paper's
     /// `m = ⌊πRs²⌋` corresponds to a 1 m lattice.
     pub sense_spacing: f64,
-    /// Thread policy for the per-node sense/curvature phase. Step
-    /// results are bit-identical at any thread count — this only
-    /// changes wall-clock time.
-    pub parallelism: Parallelism,
 }
 
 impl Default for SimConfig {
@@ -31,7 +28,6 @@ impl Default for SimConfig {
             cps: CpsConfig::default(),
             time_step: 1.0,
             sense_spacing: 1.0,
-            parallelism: Parallelism::auto(),
         }
     }
 }
@@ -100,9 +96,10 @@ pub struct Simulation<F> {
     pub(crate) curvature_scale: f64,
     /// Fault-injection state; `None` runs the pristine fast path.
     pub(crate) fault: Option<FaultState>,
-    /// The δ-evaluation options declared at build time
-    /// ([`CmaBuilder::evaluator`]) for consumers measuring this run
-    /// (e.g. `DeltaTimeline`).
+    /// The run's one thread policy, declared at build time
+    /// ([`CmaBuilder::evaluator`]): the per-node sensing and curvature
+    /// sweeps read it, and so do consumers measuring this run (e.g.
+    /// `DeltaTimeline`). Results are bit-identical under any policy.
     pub(crate) eval: EvalOptions,
 }
 
@@ -178,7 +175,7 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
         // row-sharded engine; results are identical at any thread count.
         let fits = {
             let sim = &sim;
-            map_rows(sim.nodes.len(), sim.config.parallelism, |i| {
+            map_rows(sim.nodes.len(), sim.eval.parallelism, |i| {
                 let p = sim.nodes[i].position;
                 debug_assert!(sim.nodes[i].alive);
                 let (sensed, value) = sim.read_at(p, sim.time);
@@ -203,12 +200,7 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
     /// sensing pass — the snapshot already carries the sensed
     /// curvatures and the gossiped normalization scale, so re-sensing
     /// would diverge from the uninterrupted run.
-    fn restore(
-        field: F,
-        snapshot: SimSnapshot,
-        parallelism: Parallelism,
-        eval: EvalOptions,
-    ) -> Result<Self, CoreError> {
+    fn restore(field: F, snapshot: SimSnapshot, eval: EvalOptions) -> Result<Self, CoreError> {
         let cps = CpsConfig::builder()
             .comm_radius(snapshot.comm_radius)
             .sensing_radius(snapshot.sensing_radius)
@@ -219,7 +211,6 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
             cps,
             time_step: snapshot.time_step,
             sense_spacing: snapshot.sense_spacing,
-            parallelism,
         };
         if !config.time_step.is_finite() || config.time_step <= 0.0 {
             return Err(corrupt("time_step must be positive and finite".to_string()));
@@ -395,11 +386,6 @@ impl<F: TimeVaryingField> Simulation<F> {
         &self.field
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|rt| &rt.plan)
-    }
-
     /// Everything the fault subsystem recorded so far: deaths,
     /// partitions, reconnections. Empty without a fault plan.
     pub fn fault_events(&self) -> &[FaultEvent] {
@@ -409,50 +395,10 @@ impl<F: TimeVaryingField> Simulation<F> {
             .unwrap_or(&[])
     }
 
-    /// Installs (or replaces) a fault plan mid-run; its slot 0 is the
-    /// next step. Prefer [`CmaBuilder::faults`] for whole-run plans.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(FaultState::new(plan, self.nodes.len()));
-    }
-
     /// Whether the surviving network was split into multiple components
     /// at the last fault-plan topology observation.
     pub fn is_partitioned(&self) -> bool {
         self.fault.as_ref().is_some_and(|rt| rt.partitioned())
-    }
-
-    /// Overrides the CMA curvature gain (see
-    /// [`CmaConfig::curvature_gain`]) for subsequent steps.
-    pub fn set_curvature_gain(&mut self, gain: f64) {
-        self.cma.curvature_gain = gain;
-    }
-
-    /// Overrides the CMA peak-attraction gain (see
-    /// [`CmaConfig::peak_gain`]) for subsequent steps.
-    pub fn set_peak_gain(&mut self, gain: f64) {
-        self.cma.peak_gain = gain;
-    }
-
-    /// Overrides the CMA stop threshold for subsequent steps.
-    pub fn set_stop_threshold(&mut self, threshold: f64) {
-        self.cma.stop_threshold = threshold;
-    }
-
-    /// Overrides the CMA curvature-weight significance floor (see
-    /// [`CmaConfig::weight_floor`]) for subsequent steps.
-    pub fn set_weight_floor(&mut self, floor: f64) {
-        self.cma.weight_floor = floor;
-    }
-
-    /// Overrides the CMA weight exponent (see
-    /// [`CmaConfig::weight_exponent`]) for subsequent steps.
-    pub fn set_weight_exponent(&mut self, exponent: f64) {
-        self.cma.weight_exponent = exponent;
-    }
-
-    /// The CMA parameters in effect.
-    pub fn cma_config(&self) -> &CmaConfig {
-        &self.cma
     }
 
     /// Everything a node at `center` senses within `Rs` at `time` —
@@ -606,13 +552,14 @@ impl CmaBuilder {
 
     /// Creates a builder that resumes `snapshot` instead of deploying
     /// fresh: [`run`](CmaBuilder::run) rebuilds the engine exactly as
-    /// checkpointed (clock, slot cursor, fleet, CMA overrides, fault
+    /// checkpointed (clock, slot cursor, fleet, CMA parameters, fault
     /// state) and skips the initial sensing pass. Stepping on is
     /// bit-identical to the uninterrupted run when given the same
     /// field.
     ///
-    /// The thread policy defaults to [`Parallelism::auto`] and may be
-    /// overridden with [`parallelism`](CmaBuilder::parallelism) or
+    /// The thread policy is not part of a snapshot: it defaults to
+    /// [`Parallelism::auto`] and may be set with
+    /// [`parallelism`](CmaBuilder::parallelism) or
     /// [`evaluator`](CmaBuilder::evaluator) — results do not depend on
     /// it. Deployment-time settings ([`config`](CmaBuilder::config),
     /// [`start_time`](CmaBuilder::start_time),
@@ -624,19 +571,19 @@ impl CmaBuilder {
         builder
     }
 
-    /// Sets the evaluation options shared with
-    /// [`cps_core::DeltaEvaluator`] and the FRA builder: the thread
-    /// policy (also applied to the per-node sensing phase). Consumers
-    /// read it back via [`Simulation::eval_options`] — `DeltaTimeline`
-    /// does so when built with `DeltaTimeline::for_simulation`.
+    /// Sets the run's thread policy, in the options shared with
+    /// [`cps_core::DeltaEvaluator`] and the FRA builder: the per-node
+    /// sensing and curvature sweeps use it, and consumers read it back
+    /// via [`Simulation::eval_options`] — `DeltaTimeline` does so when
+    /// built with `DeltaTimeline::for_simulation`. Calls to
+    /// [`config`](CmaBuilder::config) in either order leave it alone.
     pub fn evaluator(mut self, opts: EvalOptions) -> Self {
-        self.config.parallelism = opts.parallelism;
         self.eval = opts;
         self
     }
 
     /// Sets the simulation parameters (node capabilities, time step,
-    /// sensing lattice, thread policy).
+    /// sensing lattice).
     pub fn config(mut self, config: SimConfig) -> Self {
         self.config = config;
         self
@@ -649,12 +596,10 @@ impl CmaBuilder {
         self
     }
 
-    /// Sets the thread policy without replacing the rest of the config.
-    /// Step results are bit-identical at any thread count. Shorthand
-    /// for [`evaluator`](CmaBuilder::evaluator) with only the
-    /// parallelism changed.
+    /// Sets the thread policy. Step results are bit-identical at any
+    /// thread count. Shorthand for [`evaluator`](CmaBuilder::evaluator)
+    /// with only the parallelism changed.
     pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.config.parallelism = par;
         self.eval.parallelism = par;
         self
     }
@@ -681,7 +626,7 @@ impl CmaBuilder {
     /// inconsistent (e.g. fault tables not matching the fleet size).
     pub fn run<F: TimeVaryingField + Sync>(self, field: F) -> Result<Simulation<F>, CoreError> {
         if let Some(snapshot) = self.resume {
-            return Simulation::restore(field, *snapshot, self.config.parallelism, self.eval);
+            return Simulation::restore(field, *snapshot, self.eval);
         }
         Simulation::construct(
             field,
@@ -826,7 +771,14 @@ mod tests {
             .run(f)
             .unwrap();
         assert_eq!(sim.eval_options(), opts);
-        assert_eq!(sim.config().parallelism, Parallelism::fixed(2));
+        // `.config` holds no thread policy, so it cannot undo one set
+        // before it.
+        let sim = CmaBuilder::new(region(), grid16())
+            .evaluator(opts)
+            .config(SimConfig::default())
+            .run(f)
+            .unwrap();
+        assert_eq!(sim.eval_options(), opts);
     }
 
     #[test]

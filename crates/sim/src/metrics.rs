@@ -2,7 +2,7 @@
 //! detection.
 
 use cps_core::{CoreError, DeltaEvaluator, DeploymentEvaluation, EvalOptions};
-use cps_field::{Parallelism, TimeVaryingField};
+use cps_field::TimeVaryingField;
 use cps_geometry::GridSpec;
 
 use crate::{FaultEvent, Simulation, TimelineState};
@@ -42,11 +42,6 @@ impl DeltaTimeline {
         }
     }
 
-    /// An empty timeline whose recordings use the given thread policy.
-    pub fn with_parallelism(par: Parallelism) -> Self {
-        DeltaTimeline::with_options(EvalOptions::new().parallelism(par))
-    }
-
     /// An empty timeline adopting the simulation's declared evaluation
     /// options ([`crate::CmaBuilder::evaluator`]).
     pub fn for_simulation<F: TimeVaryingField + Sync>(sim: &Simulation<F>) -> Self {
@@ -71,7 +66,7 @@ impl DeltaTimeline {
         // The frozen field borrows the simulation, so the evaluator is
         // rebuilt per recording.
         let eval = DeltaEvaluator::new(&frozen, grid, sim.config().cps.comm_radius())
-            .options(self.opts)
+            .parallelism(self.opts.parallelism)
             .survivors(true)
             .evaluate(&sim.positions())?;
         let pending = sim.fault_events();
@@ -99,11 +94,6 @@ impl DeltaTimeline {
     /// Rebuilds a timeline from checkpointed records.
     pub fn from_state(opts: EvalOptions, state: TimelineState) -> Self {
         DeltaTimeline { state, opts }
-    }
-
-    /// The evaluation options recordings run with.
-    pub fn options(&self) -> EvalOptions {
-        self.opts
     }
 
     /// The recorded `(time, evaluation)` samples, in record order.
@@ -196,7 +186,7 @@ impl ConvergenceDetector {
 mod tests {
     use super::*;
     use crate::{scenario, CmaBuilder};
-    use cps_field::{PeaksField, Static};
+    use cps_field::{Parallelism, PeaksField, Static};
     use cps_geometry::Rect;
 
     #[test]
@@ -227,10 +217,11 @@ mod tests {
         let start = scenario::grid_start(region, 36);
         let sim = CmaBuilder::new(region, start).run(field).unwrap();
         let grid = GridSpec::new(region, 41, 41).unwrap();
-        let mut serial = DeltaTimeline::with_parallelism(Parallelism::serial());
+        let mut serial =
+            DeltaTimeline::with_options(EvalOptions::new().parallelism(Parallelism::serial()));
         let s = serial.record(&sim, &grid).unwrap();
         for par in [Parallelism::fixed(3), Parallelism::auto()] {
-            let mut timeline = DeltaTimeline::with_parallelism(par);
+            let mut timeline = DeltaTimeline::with_options(EvalOptions::new().parallelism(par));
             let e = timeline.record(&sim, &grid).unwrap();
             assert_eq!(s.delta.to_bits(), e.delta.to_bits(), "{par:?}");
             assert_eq!(s.rms.to_bits(), e.rms.to_bits(), "{par:?}");

@@ -172,17 +172,6 @@ impl RunRecorder {
         self.timeline.as_ref().map(|(t, _)| t)
     }
 
-    /// Alias for [`timeline_ref`](RunRecorder::timeline_ref) used when
-    /// the builder-style name would shadow it.
-    pub fn timeline_recorded(&self) -> Option<&DeltaTimeline> {
-        self.timeline_ref()
-    }
-
-    /// The survivability tracker, if one was configured.
-    pub fn survivability_ref(&self) -> Option<&SurvivabilityTracker> {
-        self.survivability.as_ref()
-    }
-
     /// Consumes the recorder, returning the timeline and tracker for
     /// report finishing.
     pub fn into_parts(self) -> (Option<DeltaTimeline>, Option<SurvivabilityTracker>) {

@@ -12,7 +12,7 @@
 //! surface alongside the nodes' current positions.
 
 use cps_core::CoreError;
-use cps_field::{ReconstructedSurface, TimeVaryingField};
+use cps_field::{Parallelism, ReconstructedSurface, TimeVaryingField};
 use cps_geometry::{Point2, Rect};
 
 use crate::Simulation;
@@ -148,10 +148,11 @@ pub fn path_sampling_gain<F: TimeVaryingField + Sync>(
 ) -> Result<(f64, f64), CoreError> {
     let frozen = sim.field().at_time(sim.time());
     let point_eval = cps_core::DeltaEvaluator::new(&frozen, grid, sim.config().cps.comm_radius())
-        .parallelism(cps_field::Parallelism::serial())
+        .parallelism(Parallelism::serial())
         .evaluate(&sim.positions())?;
     let enriched = reconstruct_with_path_samples(sim, bank, max_age)?;
-    let enriched_delta = cps_field::delta::volume_difference(&frozen, &enriched, grid);
+    let enriched_delta =
+        cps_field::delta::volume_difference_with(&frozen, &enriched, grid, Parallelism::serial());
     Ok((point_eval.delta, enriched_delta))
 }
 

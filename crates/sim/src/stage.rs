@@ -279,11 +279,11 @@ fn optimize<F: TimeVaryingField + Sync>(
     let mut cfg = sim.cma;
     cfg.curvature_scale = sim.curvature_scale;
     let decisions = {
-        let _t = cps_obs::time(Phase::CmaCurvature, sim.config.parallelism.threads());
+        let _t = cps_obs::time(Phase::CmaCurvature, sim.eval.parallelism.threads());
         let this = &*sim;
         let cfg = &cfg;
         let sensor_faults = &exchanged.sensor_faults;
-        map_rows(alive_ids.len(), this.config.parallelism, move |i| {
+        map_rows(alive_ids.len(), this.eval.parallelism, move |i| {
             let p = positions[i];
             let fault = sensor_faults.get(i).copied().unwrap_or(SensorFault::None);
             if fault == SensorFault::Dropout {

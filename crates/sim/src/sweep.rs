@@ -15,13 +15,12 @@
 //! uses:
 //!
 //! * every job runs its simulation with [`Parallelism::serial`]
-//!   internally — the outer jobs own the pool workers, so the inner
-//!   `map_rows` calls stay off the shared queue (a job blocked in
-//!   `run_with` while occupying every worker would deadlock the batch;
-//!   serial inner evaluation also composes with the adaptive serial
-//!   cutoff, which would pick the serial path for these small grids
-//!   anyway). Simulation results are bit-identical at any thread
-//!   count, so this costs nothing but wall-clock shape;
+//!   internally — the outer jobs own the pool workers, so inner
+//!   batches would only run inline on them anyway (`cps-pool` runs a
+//!   batch nested inside another on the calling thread); serial inner
+//!   evaluation skips that hand-off. Simulation results are
+//!   bit-identical at any thread count, so this costs nothing but
+//!   wall-clock shape;
 //! * completed jobs land in a slot vector keyed by job index, and the
 //!   per-cell aggregates (mean/stddev/min/max) fold those slots in
 //!   index order — never in completion order;
@@ -46,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use cps_core::{CoreError, CpsConfig, EvalOptions};
+use cps_core::{CoreError, CpsConfig};
 use cps_field::{Parallelism, TimeVaryingField};
 use cps_geometry::{GridSpec, Point2, Rect};
 use serde::{Deserialize, Serialize};
@@ -670,12 +669,9 @@ fn run_job<F: TimeVaryingField + Sync>(
     };
     let start =
         scenario::grid_start_spaced(spec.region, job.k, spec.spacing_factor * job.comm_radius)?;
-    let eval = EvalOptions::new().parallelism(Parallelism::serial());
-    // `.config` before `.evaluator`: the evaluator call also installs
-    // its (serial) parallelism into the sim config.
     let mut builder = CmaBuilder::new(spec.region, start)
         .config(config)
-        .evaluator(eval)
+        .parallelism(Parallelism::serial())
         .start_time(spec.start_time);
     if !job.fault_spec.is_empty() {
         builder = builder.faults(FaultPlan::parse(&job.fault_spec)?);
@@ -721,6 +717,16 @@ fn run_job<F: TimeVaryingField + Sync>(
     })
 }
 
+/// Locks `mutex`, recovering the data from a poisoned lock: a poisoned
+/// sweep mutex means a worker panicked mid-job, and that job's empty
+/// slot already surfaces as a typed error at fold time — compounding
+/// the panic across the surviving workers would only mask it.
+fn lock_or_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Executes every job of `spec` and folds the fixed-order aggregates.
 ///
 /// `workers` is the total concurrency (0 = all cores): the calling
@@ -732,16 +738,6 @@ fn run_job<F: TimeVaryingField + Sync>(
 /// field from its seed — it must be deterministic for resume
 /// bit-identity to hold.
 ///
-/// Locks `mutex`, recovering the data from a poisoned lock: a poisoned
-/// sweep mutex means a worker panicked mid-job, and that job's empty
-/// slot already surfaces as a typed error at fold time — compounding
-/// the panic across the surviving workers would only mask it.
-fn lock_or_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// The result is **bit-identical** for any `workers` value and any job
 /// completion order, and across interrupt + resume.
 ///
@@ -788,12 +784,7 @@ where
         None => None,
     };
 
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        workers
-    };
-    let workers = workers.min(n.max(1));
+    let workers = Parallelism::from_threads(workers).threads().min(n.max(1));
 
     let slots = Mutex::new(slots);
     let manifest = Mutex::new(manifest);

@@ -36,7 +36,7 @@ fn run_swarm(
         builder = builder.faults(plan);
     }
     let mut sim = builder.run(field).unwrap();
-    let mut timeline = DeltaTimeline::with_parallelism(par);
+    let mut timeline = DeltaTimeline::for_simulation(&sim);
     timeline.record(&sim, &grid).unwrap();
     for _ in 0..slots {
         sim.step().unwrap();

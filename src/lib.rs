@@ -43,7 +43,7 @@
 //!
 //!     let result = FraBuilder::new(20, 10.0)
 //!         .grid(grid)
-//!         .parallelism(Parallelism::auto())
+//!         .evaluator(EvalOptions::new().parallelism(Parallelism::auto()))
 //!         .run(&reference)?;
 //!     let eval = DeltaEvaluator::new(&reference, &grid, 10.0).evaluate(&result.positions)?;
 //!     assert!(eval.connected);

@@ -16,8 +16,8 @@
 pub use crate::Error;
 pub use cps_core::osd::{FraBuilder, FraResult};
 pub use cps_core::{
-    analyze_deployment, analyze_deployment_with, CoreError, DeltaEvaluator, DeploymentEvaluation,
-    DeploymentReport, EvalOptions, SurvivabilityReport, SurvivabilityTracker,
+    analyze_deployment_with, CoreError, DeltaEvaluator, DeploymentEvaluation, DeploymentReport,
+    EvalOptions, SurvivabilityReport, SurvivabilityTracker,
 };
 pub use cps_field::{Field, Parallelism, ReconstructedSurface, Static, TimeVaryingField};
 pub use cps_geometry::{GridSpec, Point2, Rect};
@@ -39,7 +39,7 @@ mod tests {
         let reference = cps_field::PeaksField::new(region, 8.0);
         let result = FraBuilder::new(12, 10.0)
             .grid(grid)
-            .parallelism(Parallelism::auto())
+            .evaluator(EvalOptions::new().parallelism(Parallelism::auto()))
             .run(&reference)
             .unwrap();
         let eval = DeltaEvaluator::new(&reference, &grid, 10.0)

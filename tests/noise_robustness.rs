@@ -2,8 +2,8 @@
 //! noise fields across many seeds.
 
 use cps::core::osd::FraBuilder;
-use cps::core::{analyze_deployment, DeltaEvaluator};
-use cps::field::NoiseField;
+use cps::core::{analyze_deployment_with, DeltaEvaluator};
+use cps::field::{NoiseField, Parallelism};
 use cps::geometry::{GridSpec, Rect};
 use cps::network::UnitDiskGraph;
 
@@ -33,7 +33,9 @@ fn deployment_reports_stay_sound_on_noise() {
     let grid = GridSpec::new(region, 41, 41).unwrap();
     let field = NoiseField::new(3, 14.0, 10.0);
     let plan = FraBuilder::new(40, 10.0).grid(grid).run(&field).unwrap();
-    let report = analyze_deployment(&field, &plan.positions, 10.0, &grid).unwrap();
+    let report =
+        analyze_deployment_with(&field, &plan.positions, 10.0, &grid, Parallelism::serial())
+            .unwrap();
     assert!(report.evaluation.connected);
     // Coverage cells tile the region.
     let total_coverage = report.coverage.mean * report.coverage.count as f64;

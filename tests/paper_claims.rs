@@ -87,7 +87,7 @@ fn cma_stays_connected_and_does_not_regress() {
 /// pointwise integral — checked on the actual trace surface.
 #[test]
 fn theorem_3_1_volume_identity_on_the_trace_surface() {
-    use cps::field::{delta, PlaneField};
+    use cps::field::{delta, Parallelism, PlaneField};
     let resolution = 41;
     let dataset = trace();
     let f = dataset
@@ -95,8 +95,8 @@ fn theorem_3_1_volume_identity_on_the_trace_surface() {
         .unwrap();
     let g = PlaneField::new(0.05, -0.02, 8.0);
     let grid = GridSpec::new(region(), resolution, resolution).unwrap();
-    let u = delta::union_volume(&f, &g, &grid);
-    let i = delta::intersection_volume(&f, &g, &grid);
-    let d = delta::volume_difference(&f, &g, &grid);
+    let u = delta::union_volume_with(&f, &g, &grid, Parallelism::serial());
+    let i = delta::intersection_volume_with(&f, &g, &grid, Parallelism::serial());
+    let d = delta::volume_difference_with(&f, &g, &grid, Parallelism::serial());
     assert!((u - i - d).abs() < 1e-6 * d.max(1.0));
 }

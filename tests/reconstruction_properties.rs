@@ -1,6 +1,8 @@
 //! Property tests on the reconstruction + δ pipeline, across crates.
 
-use cps::field::{delta, Field, GaussianBlob, GaussianMixtureField, ReconstructedSurface};
+use cps::field::{
+    delta, Field, GaussianBlob, GaussianMixtureField, Parallelism, ReconstructedSurface,
+};
 use cps::geometry::{GridSpec, Point2, Rect};
 use proptest::prelude::*;
 
@@ -53,12 +55,12 @@ proptest! {
         let field = bumpy_field();
         let samples: Vec<f64> = positions.iter().map(|&p| field.value(p)).collect();
         let surface = ReconstructedSurface::from_samples(region, &positions, &samples).unwrap();
-        prop_assert_eq!(delta::volume_difference(&surface, &surface, &grid), 0.0);
-        let d = delta::volume_difference(&field, &surface, &grid);
+        prop_assert_eq!(delta::volume_difference_with(&surface, &surface, &grid, Parallelism::serial()), 0.0);
+        let d = delta::volume_difference_with(&field, &surface, &grid, Parallelism::serial());
         prop_assert!(d.is_finite() && d >= 0.0);
         // Theorem 3.1: union − intersection == ∬|f − g|.
-        let u = delta::union_volume(&field, &surface, &grid);
-        let i = delta::intersection_volume(&field, &surface, &grid);
+        let u = delta::union_volume_with(&field, &surface, &grid, Parallelism::serial());
+        let i = delta::intersection_volume_with(&field, &surface, &grid, Parallelism::serial());
         prop_assert!((u - i - d).abs() < 1e-6);
     }
 
@@ -73,14 +75,14 @@ proptest! {
 
         let sparse_samples: Vec<f64> = seed_positions.iter().map(|&p| field.value(p)).collect();
         let sparse = ReconstructedSurface::from_samples(region, &seed_positions, &sparse_samples).unwrap();
-        let d_sparse = delta::volume_difference(&field, &sparse, &grid);
+        let d_sparse = delta::volume_difference_with(&field, &sparse, &grid, Parallelism::serial());
 
         // Dense: every grid point is a sample → reconstruction error at
         // grid points is zero, so δ collapses to quadrature noise.
         let dense_positions: Vec<Point2> = grid.iter().map(|(_, _, p)| p).collect();
         let dense_samples: Vec<f64> = dense_positions.iter().map(|&p| field.value(p)).collect();
         let dense = ReconstructedSurface::from_samples(region, &dense_positions, &dense_samples).unwrap();
-        let d_dense = delta::volume_difference(&field, &dense, &grid);
+        let d_dense = delta::volume_difference_with(&field, &dense, &grid, Parallelism::serial());
 
         prop_assert!(d_dense <= d_sparse + 1e-9, "dense {d_dense} vs sparse {d_sparse}");
         prop_assert!(d_dense < 1e-6, "dense sampling should nearly eliminate delta, got {d_dense}");
