@@ -21,14 +21,11 @@ use cps_greenorbs::{Channel, Dataset, ForestConfig};
 /// The paper's communication radius, metres.
 pub const PAPER_RC: f64 = 10.0;
 
-/// The paper's sensing radius, metres.
-pub const PAPER_RS: f64 = 5.0;
-
 /// Trace hour of the paper's referential surface (10:00).
-pub const PAPER_HOUR: u32 = 10;
+const PAPER_HOUR: u32 = 10;
 
 /// Evaluation grid resolution (101×101 over the 100 m region → 1 m).
-pub const EVAL_RESOLUTION: usize = 101;
+const EVAL_RESOLUTION: usize = 101;
 
 /// The 100×100 m region of interest inside the forest plot.
 pub fn paper_region() -> Rect {

@@ -601,7 +601,7 @@ fn print_report(report: &cps_core::DeploymentReport) {
 /// # Errors
 ///
 /// I/O failures and malformed rows.
-pub fn read_positions_csv(path: &str) -> Result<Vec<Point2>, Box<dyn Error>> {
+fn read_positions_csv(path: &str) -> Result<Vec<Point2>, Box<dyn Error>> {
     let text = fs::read_to_string(path)?;
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {

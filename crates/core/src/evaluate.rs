@@ -3,7 +3,7 @@
 //!
 //! The single entry point is [`DeltaEvaluator`]: a builder holding the
 //! reference field, grid, and communication radius, with options for
-//! the thread policy and survivor-mask graceful degradation. δ is
+//! the thread policy and survivor graceful degradation. δ is
 //! integrated by the raster kernel ([`cps_field::raster`]).
 
 use cps_field::raster::delta_rms_raster;
@@ -90,7 +90,6 @@ pub struct DeltaEvaluator<'f, F> {
     comm_radius: f64,
     par: Parallelism,
     survivors: bool,
-    mask: Option<Vec<bool>>,
 }
 
 impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
@@ -104,7 +103,6 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
             comm_radius,
             par: Parallelism::auto(),
             survivors: false,
-            mask: None,
         }
     }
 
@@ -124,46 +122,15 @@ impl<'f, F: Field + Sync> DeltaEvaluator<'f, F> {
         self
     }
 
-    /// Restricts evaluation to the positions whose mask flag is `true`
-    /// (one flag per position passed to
-    /// [`evaluate`](DeltaEvaluator::evaluate)). Implies
-    /// [`survivors(true)`](DeltaEvaluator::survivors), since a mask
-    /// exists precisely to model attrition.
-    pub fn survivor_mask(mut self, mask: &[bool]) -> Self {
-        self.mask = Some(mask.to_vec());
-        self.survivors = true;
-        self
-    }
-
     /// Evaluates one deployment.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidParameter`] — a survivor mask whose length
-    ///   differs from `positions`.
     /// * [`CoreError::Field`] — fewer than 3 distinct positions (unless
     ///   [`survivors`](DeltaEvaluator::survivors) absorbs it), a
     ///   position outside the grid's region, or non-finite values.
     /// * [`CoreError::Network`] — invalid communication radius.
     pub fn evaluate(&self, positions: &[Point2]) -> Result<DeploymentEvaluation, CoreError> {
-        let masked;
-        let positions = match &self.mask {
-            Some(mask) => {
-                if mask.len() != positions.len() {
-                    return Err(CoreError::InvalidParameter {
-                        name: "survivor_mask",
-                        requirement: "must carry exactly one flag per position",
-                    });
-                }
-                masked = positions
-                    .iter()
-                    .zip(mask)
-                    .filter_map(|(&p, &alive)| alive.then_some(p))
-                    .collect::<Vec<Point2>>();
-                &masked[..]
-            }
-            None => positions,
-        };
         let par = self.par;
         let samples: Vec<f64> = positions.iter().map(|&p| self.reference.value(p)).collect();
         match ReconstructedSurface::from_samples(self.grid.rect(), positions, &samples) {
@@ -282,44 +249,6 @@ mod tests {
             assert_eq!(serial.connected, p.connected);
             assert_eq!(serial.node_count, p.node_count);
         }
-    }
-
-    #[test]
-    fn survivor_mask_filters_positions() {
-        let (region, grid) = setting();
-        let f = PeaksField::new(region, 8.0);
-        let nodes: Vec<Point2> = region
-            .corners()
-            .into_iter()
-            .chain([Point2::new(50.0, 50.0)])
-            .collect();
-        // Mask away the centre: equivalent to evaluating the corners.
-        let e = DeltaEvaluator::new(&f, &grid, 200.0)
-            .survivor_mask(&[true, true, true, true, false])
-            .evaluate(&nodes)
-            .unwrap();
-        let corners = DeltaEvaluator::new(&f, &grid, 200.0)
-            .evaluate(&nodes[..4])
-            .unwrap();
-        assert_eq!(e.delta.to_bits(), corners.delta.to_bits());
-        assert_eq!(e.node_count, 4);
-        // Mask below three nodes: graceful degradation kicks in.
-        let e = DeltaEvaluator::new(&f, &grid, 200.0)
-            .survivor_mask(&[true, false, false, false, true])
-            .evaluate(&nodes)
-            .unwrap();
-        assert!(e.delta.is_finite() && e.delta > 0.0);
-        assert_eq!(e.node_count, 2);
-        // Length mismatch is a parameter error.
-        assert!(matches!(
-            DeltaEvaluator::new(&f, &grid, 200.0)
-                .survivor_mask(&[true, true])
-                .evaluate(&nodes),
-            Err(CoreError::InvalidParameter {
-                name: "survivor_mask",
-                ..
-            })
-        ));
     }
 
     #[test]

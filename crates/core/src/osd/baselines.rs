@@ -67,28 +67,6 @@ pub fn uniform_grid_deployment(region: Rect, k: usize) -> Vec<Point2> {
     out
 }
 
-/// `k` random positions re-drawn until the deployment is connected at
-/// `comm_radius` (up to `attempts` draws) — the fair-comparison variant
-/// of [`random_deployment`] when connectivity is required of every
-/// method. Returns `None` when no connected draw was found.
-pub fn random_connected_deployment<R: Rng + ?Sized>(
-    region: Rect,
-    k: usize,
-    comm_radius: f64,
-    attempts: usize,
-    rng: &mut R,
-) -> Option<Vec<Point2>> {
-    for _ in 0..attempts {
-        let pts = random_deployment(region, k, rng);
-        if let Ok(g) = cps_network::UnitDiskGraph::new(pts.clone(), comm_radius) {
-            if g.is_connected() {
-                return Some(pts);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,17 +113,5 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_panics() {
         uniform_grid_deployment(region(), 0);
-    }
-
-    #[test]
-    fn connected_random_is_connected_or_none() {
-        let mut rng = StdRng::seed_from_u64(1);
-        // Generous radius: the first few draws succeed.
-        let pts = random_connected_deployment(region(), 20, 60.0, 50, &mut rng).unwrap();
-        let g = cps_network::UnitDiskGraph::new(pts, 60.0).unwrap();
-        assert!(g.is_connected());
-        // Impossible radius: gives up cleanly.
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(random_connected_deployment(region(), 20, 0.01, 5, &mut rng).is_none());
     }
 }

@@ -79,29 +79,9 @@ impl LocalErrorGrid {
         &self.grid
     }
 
-    /// Current error at grid point `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `(i, j)` lies outside the grid; use
-    /// [`LocalErrorGrid::try_error_at`] for fallible probes.
-    pub fn error_at(&self, i: usize, j: usize) -> f64 {
-        self.errors[self.grid.flat_index(i, j)]
-    }
-
-    /// Current error at grid point `(i, j)`, or `None` when the indices
-    /// fall outside the grid.
-    pub fn try_error_at(&self, i: usize, j: usize) -> Option<f64> {
-        if i < self.grid.nx() && j < self.grid.ny() {
-            Some(self.errors[self.grid.flat_index(i, j)])
-        } else {
-            None
-        }
-    }
-
     /// Flat index of the grid point nearest `p` — the one shared lookup
-    /// behind [`LocalErrorGrid::mark_used`], [`LocalErrorGrid::is_used`]
-    /// and [`LocalErrorGrid::flat_index_of`].
+    /// behind [`LocalErrorGrid::mark_used`] and
+    /// [`LocalErrorGrid::flat_index_of`].
     fn nearest_flat(&self, p: Point2) -> usize {
         let (i, j) = self.grid.nearest_index(p);
         self.grid.flat_index(i, j)
@@ -114,11 +94,6 @@ impl LocalErrorGrid {
         self.used[idx] = true;
         let j = idx / self.grid.nx();
         self.row_best[j] = self.scan_row(j, &[]);
-    }
-
-    /// Whether the grid point nearest `p` is already used.
-    pub fn is_used(&self, p: Point2) -> bool {
-        self.used[self.nearest_flat(p)]
     }
 
     /// Clips the axis-aligned box `[lo, hi]` to inclusive grid index
@@ -266,11 +241,6 @@ impl LocalErrorGrid {
     /// Flat index of the grid point nearest `p` (for rejection lists).
     pub fn flat_index_of(&self, p: Point2) -> usize {
         self.nearest_flat(p)
-    }
-
-    /// Sum of all current local errors (a cheap convergence indicator).
-    pub fn total_error(&self) -> f64 {
-        self.errors.iter().sum()
     }
 }
 
@@ -456,6 +426,13 @@ mod tests {
     use cps_field::{GaussianBlob, PlaneField};
     use cps_geometry::Rect;
 
+    impl LocalErrorGrid {
+        /// Current error at grid point `(i, j)`.
+        fn error_at(&self, i: usize, j: usize) -> f64 {
+            self.errors[self.grid.flat_index(i, j)]
+        }
+    }
+
     fn setup<F: Field>(field: &F) -> (GridSpec, Triangulation, Vec<f64>) {
         let rect = Rect::square(10.0).unwrap();
         let grid = GridSpec::new(rect, 11, 11).unwrap();
@@ -473,7 +450,7 @@ mod tests {
         let f = PlaneField::new(1.0, -2.0, 3.0);
         let (grid, dt, zs) = setup(&f);
         let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
-        assert!(errs.total_error() < 1e-6);
+        assert!(errs.errors.iter().sum::<f64>() < 1e-6);
         // argmax still returns something (the max of zeros).
         assert!(errs.argmax(&[]).is_some());
     }
@@ -495,7 +472,7 @@ mod tests {
         let mut errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
         let (p1, _) = errs.argmax(&[]).unwrap();
         errs.mark_used(p1);
-        assert!(errs.is_used(p1));
+        assert!(errs.used[errs.nearest_flat(p1)]);
         let (p2, _) = errs.argmax(&[]).unwrap();
         assert_ne!(p1, p2);
     }
@@ -526,18 +503,6 @@ mod tests {
         let after = errs.error_at(5, 5);
         assert!(after < before);
         assert!(after < 1e-9);
-    }
-
-    #[test]
-    fn try_error_at_bounds_checks() {
-        let f = PlaneField::new(1.0, -2.0, 3.0);
-        let (grid, dt, zs) = setup(&f);
-        let errs = LocalErrorGrid::new(grid, &f, &dt, &zs, Parallelism::serial());
-        assert_eq!(errs.try_error_at(5, 5), Some(errs.error_at(5, 5)));
-        assert_eq!(errs.try_error_at(10, 10), Some(errs.error_at(10, 10)));
-        assert_eq!(errs.try_error_at(11, 5), None);
-        assert_eq!(errs.try_error_at(5, 11), None);
-        assert_eq!(errs.try_error_at(usize::MAX, 0), None);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub struct CwdMetrics {
 
 /// Balance residual of one node (the norm of Eqn. 9's left side) given
 /// its single-hop neighbors' positions and curvature weights.
-pub fn balance_residual(node: Point2, neighbors: &[(Point2, f64)]) -> f64 {
+fn balance_residual(node: Point2, neighbors: &[(Point2, f64)]) -> f64 {
     forces::neighbor_attraction(node, neighbors).norm()
 }
 

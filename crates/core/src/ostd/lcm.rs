@@ -48,22 +48,6 @@ pub fn follow_position(node: Point2, mover_dest: Point2, comm_radius: f64) -> Po
     node.lerp(mover_dest, (d - comm_radius) / d)
 }
 
-/// Applies the LCM to one announced move: returns the adjusted position
-/// for `node`, either unchanged (still connected) or the
-/// [`follow_position`].
-pub fn adjust_for_move(
-    node: Point2,
-    mover_dest: Point2,
-    mover_neighbors: &[Point2],
-    comm_radius: f64,
-) -> Point2 {
-    if stays_connected(node, mover_dest, mover_neighbors, comm_radius) {
-        node
-    } else {
-        follow_position(node, mover_dest, comm_radius)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,7 +71,7 @@ mod tests {
         assert!(stays_connected(n4, n1_dest, &others_for_n4, RC));
         assert!(!stays_connected(n5, n1_dest, &others_for_n5, RC));
 
-        let n5_new = adjust_for_move(n5, n1_dest, &others_for_n5, RC);
+        let n5_new = follow_position(n5, n1_dest, RC);
         assert!((n5_new.distance(n1_dest) - RC).abs() < 1e-9);
         // n5 moved straight toward the destination.
         assert_eq!(n5_new.x, 0.0);
@@ -134,11 +118,5 @@ mod tests {
         // Already in range: unchanged.
         let near = Point2::new(3.0, 0.0);
         assert_eq!(follow_position(near, Point2::ORIGIN, RC), near);
-    }
-
-    #[test]
-    fn adjust_keeps_connected_nodes_in_place() {
-        let node = Point2::new(5.0, 5.0);
-        assert_eq!(adjust_for_move(node, Point2::ORIGIN, &[], RC), node);
     }
 }

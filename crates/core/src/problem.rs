@@ -62,22 +62,6 @@ impl OsdProblem {
         })
     }
 
-    /// Overrides the candidate-grid resolution (positions per side).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] when below 2.
-    pub fn with_resolution(mut self, resolution: usize) -> Result<Self, CoreError> {
-        if resolution < 2 {
-            return Err(CoreError::InvalidParameter {
-                name: "resolution",
-                requirement: "needs at least a 2x2 candidate grid",
-            });
-        }
-        self.resolution = resolution;
-        Ok(self)
-    }
-
     /// The region of interest `A`.
     pub fn region(&self) -> Rect {
         self.region
@@ -212,16 +196,13 @@ mod tests {
         assert_eq!(p.comm_radius(), 10.0);
         assert_eq!(p.region(), region);
         assert_eq!(p.candidate_grid().unwrap().nx(), 51);
-        assert!(p.with_resolution(1).is_err());
     }
 
     #[test]
     fn osd_solve_produces_a_feasible_plan() {
         let region = Rect::square(60.0).unwrap();
-        let problem = OsdProblem::new(region, 12, 15.0)
-            .unwrap()
-            .with_resolution(31)
-            .unwrap();
+        let mut problem = OsdProblem::new(region, 12, 15.0).unwrap();
+        problem.resolution = 31;
         let field = PeaksField::new(region, 8.0);
         let solution = problem.solve(&field).unwrap();
         assert_eq!(solution.positions.len(), 12);

@@ -164,15 +164,6 @@ pub struct SurvivabilityReport {
 }
 
 impl SurvivabilityReport {
-    /// δ degradation factor `final/baseline` (None without two δ
-    /// samples or with a zero baseline).
-    pub fn degradation_factor(&self) -> Option<f64> {
-        match (self.baseline_delta, self.final_delta) {
-            (Some(base), Some(end)) if base > 0.0 => Some(end / base),
-            _ => None,
-        }
-    }
-
     /// Serializes the report as a JSON object (hand-rolled: the report
     /// must survive environments without a serializer).
     pub fn to_json(&self) -> String {
@@ -426,7 +417,6 @@ mod tests {
         assert!(!report.unresolved_partition);
         assert_eq!(report.baseline_delta, Some(100.0));
         assert_eq!(report.final_delta, Some(150.0));
-        assert_eq!(report.degradation_factor(), Some(1.5));
         assert_eq!(report.degradation.len(), 3);
         assert_eq!(
             (report.messages, report.retried, report.dropped),
@@ -468,7 +458,6 @@ mod tests {
         assert_eq!(report.partitions, 1);
         assert_eq!(report.reconnects, 0);
         assert!(report.unresolved_partition);
-        assert_eq!(report.degradation_factor(), None);
     }
 
     #[test]

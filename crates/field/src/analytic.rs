@@ -139,8 +139,9 @@ impl GaussianMixtureField {
         self.blobs.push(blob);
     }
 
-    /// Returns a copy with every blob centre displaced by `(dx, dy)` —
-    /// used by the drifting-field dynamics.
+    /// Returns a copy with every blob centre displaced by `(dx, dy)`, so
+    /// that `translated(dx, dy).value(p + (dx, dy)) == value(p)` up to
+    /// rounding.
     pub fn translated(&self, dx: f64, dy: f64) -> GaussianMixtureField {
         GaussianMixtureField {
             base: self.base,

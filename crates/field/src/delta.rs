@@ -105,24 +105,6 @@ pub fn volume_difference_with<F: Field + Sync, G: Field + Sync>(
     integrate2_with(f, g, grid, par, |a, b| (a - b).abs())
 }
 
-/// Volume under a single surface, `∬ f dA` (Eqn. 4/5). For surfaces that
-/// dip below zero the integral is signed.
-pub fn volume_with<F: Field + Sync>(f: &F, grid: &GridSpec, par: Parallelism) -> f64 {
-    let _timer = cps_obs::time(cps_obs::Phase::DeltaQuadrature, par.threads());
-    let rows = map_rows(grid.ny(), par, |j| {
-        let mut row = 0.0;
-        for i in 0..grid.nx() {
-            row += weight(grid, i, j) * f.value(grid.point(i, j));
-        }
-        row
-    });
-    let mut total = 0.0;
-    for row in rows {
-        total += row;
-    }
-    total * grid.cell_area()
-}
-
 /// `|V(f) ∪ V(g)| = ∬ max(f, g) dA` (Eqn. 6).
 pub fn union_volume_with<F: Field + Sync, G: Field + Sync>(
     f: &F,
@@ -182,6 +164,13 @@ mod tests {
         GridSpec::new(Rect::square(10.0).unwrap(), 21, 21).unwrap()
     }
 
+    /// `∬ f dA` for a field that is non-negative on the grid: δ against
+    /// the zero plane.
+    fn volume(f: &PlaneField, grid: &GridSpec) -> f64 {
+        let zero = PlaneField::new(0.0, 0.0, 0.0);
+        volume_difference_with(f, &zero, grid, Parallelism::serial())
+    }
+
     #[test]
     fn delta_of_identical_surfaces_is_zero() {
         let f = PeaksField::new(Rect::square(10.0).unwrap(), 5.0);
@@ -215,14 +204,14 @@ mod tests {
     #[test]
     fn volume_of_constant_field() {
         let f = PlaneField::new(0.0, 0.0, 2.5);
-        assert!((volume_with(&f, &grid(), Parallelism::serial()) - 250.0).abs() < 1e-9);
+        assert!((volume(&f, &grid()) - 250.0).abs() < 1e-9);
     }
 
     #[test]
     fn volume_of_linear_ramp() {
         // ∬ x dA over [0,10]² = 500.
         let f = PlaneField::new(1.0, 0.0, 0.0);
-        assert!((volume_with(&f, &grid(), Parallelism::serial()) - 500.0).abs() < 1e-9);
+        assert!((volume(&f, &grid()) - 500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -233,11 +222,11 @@ mod tests {
         let rect = Rect::square(10.0).unwrap();
         let tiny = GridSpec::new(rect, 2, 2).unwrap();
         let c = PlaneField::new(0.0, 0.0, 3.0);
-        assert!((volume_with(&c, &tiny, Parallelism::serial()) - 300.0).abs() < 1e-12);
+        assert!((volume(&c, &tiny) - 300.0).abs() < 1e-12);
         // ∬ x dA over [0,10]² = 500: the trapezoid rule is exact for
         // linear integrands even on a single cell.
         let ramp = PlaneField::new(1.0, 0.0, 0.0);
-        assert!((volume_with(&ramp, &tiny, Parallelism::serial()) - 500.0).abs() < 1e-12);
+        assert!((volume(&ramp, &tiny) - 500.0).abs() < 1e-12);
         // δ against itself stays exactly zero, and the parallel engine
         // agrees bit-for-bit even when rows outnumber workers requests.
         assert_eq!(
@@ -251,7 +240,7 @@ mod tests {
         }
         // Asymmetric degenerate strip: 2 columns, many rows.
         let strip = GridSpec::new(rect, 2, 9).unwrap();
-        assert!((volume_with(&c, &strip, Parallelism::serial()) - 300.0).abs() < 1e-12);
+        assert!((volume(&c, &strip) - 300.0).abs() < 1e-12);
     }
 
     #[test]
@@ -295,10 +284,6 @@ mod tests {
             assert_eq!(
                 intersection_volume_with(&f, &g, &grid, par).to_bits(),
                 intersection_volume_with(&f, &g, &grid, Parallelism::serial()).to_bits()
-            );
-            assert_eq!(
-                volume_with(&f, &grid, par).to_bits(),
-                volume_with(&f, &grid, Parallelism::serial()).to_bits()
             );
             assert_eq!(
                 rms_difference_with(&f, &g, &grid, par).to_bits(),

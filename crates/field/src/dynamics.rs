@@ -35,11 +35,6 @@ impl<F: Field> DriftingField<F> {
     pub fn new(inner: F, velocity: Vec2) -> Self {
         DriftingField { inner, velocity }
     }
-
-    /// The drift velocity.
-    pub fn velocity(&self) -> Vec2 {
-        self.velocity
-    }
 }
 
 impl<F: Field> TimeVaryingField for DriftingField<F> {
@@ -91,11 +86,6 @@ impl KeyframeField {
         self.frames[0].0
     }
 
-    /// Time of the last keyframe.
-    pub fn end_time(&self) -> f64 {
-        self.frames[self.frames.len() - 1].0
-    }
-
     /// Number of keyframes.
     pub fn len(&self) -> usize {
         self.frames.len()
@@ -142,7 +132,6 @@ mod tests {
         let p = Point2::new(10.0, 0.0);
         assert_eq!(f.value_at(p, 0.0), 10.0);
         assert_eq!(f.value_at(p, 3.0), 4.0);
-        assert_eq!(f.velocity(), Vec2::new(2.0, 0.0));
     }
 
     #[test]
@@ -162,7 +151,6 @@ mod tests {
         assert_eq!(f.value_at(p, 99.0), 0.0); // clamp after
         assert_eq!(f.len(), 3);
         assert_eq!(f.start_time(), 0.0);
-        assert_eq!(f.end_time(), 20.0);
     }
 
     #[test]

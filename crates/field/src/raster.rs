@@ -12,7 +12,7 @@
 //!
 //! Two fill modes exist:
 //!
-//! * **value mode** ([`RasterPlan::fill_row_values`]) writes plane
+//! * **value mode** (`RasterPlan::fill_row_values`) writes plane
 //!   heights directly and is used by the δ quadrature. Span cells are
 //!   claimed without re-verifying containment: the reconstruction is
 //!   continuous across interior edges, so a cell attributed to either
@@ -214,7 +214,7 @@ impl RasterPlan {
     /// cells written (with multiplicity, which only differs on fp-exact
     /// edge crossings). Cells outside the window's columns may be left
     /// unclaimed.
-    pub fn fill_row_values(&self, j: usize, out: &mut [f64]) -> usize {
+    fn fill_row_values(&self, j: usize, out: &mut [f64]) -> usize {
         debug_assert_eq!(out.len(), self.grid.nx());
         let y = self.grid.point(0, j).y;
         let dx = self.grid.dx();

@@ -103,46 +103,6 @@ impl ReconstructedSurface {
         })
     }
 
-    /// Wraps an existing triangulation whose vertices already carry the
-    /// given values (`samples[i]` belongs to `VertexId(i)`).
-    ///
-    /// # Errors
-    ///
-    /// * [`FieldError::LengthMismatch`] — `samples.len()` differs from
-    ///   the triangulation's vertex count.
-    /// * [`FieldError::TooFewSamples`] — fewer than 3 vertices.
-    /// * [`FieldError::NonFiniteValue`] — a non-finite sample.
-    pub fn from_triangulation(
-        triangulation: Triangulation,
-        samples: Vec<f64>,
-    ) -> Result<Self, FieldError> {
-        if samples.len() != triangulation.vertex_count() {
-            return Err(FieldError::LengthMismatch {
-                positions: triangulation.vertex_count(),
-                values: samples.len(),
-            });
-        }
-        if triangulation.vertex_count() < 3 {
-            return Err(FieldError::TooFewSamples {
-                count: triangulation.vertex_count(),
-            });
-        }
-        if samples.iter().any(|v| !v.is_finite()) {
-            return Err(FieldError::NonFiniteValue);
-        }
-        let cache = triangulation.locate_cache();
-        Ok(ReconstructedSurface {
-            triangulation,
-            samples,
-            cache,
-        })
-    }
-
-    /// Number of distinct sample sites in the surface.
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
-    }
-
     /// The underlying triangulation.
     pub fn triangulation(&self) -> &Triangulation {
         &self.triangulation
@@ -225,7 +185,7 @@ mod tests {
         ps.push(Point2::new(5.0, 5.0)); // exact duplicate of the centre
         zs.push(999.0); // later value must be dropped
         let surf = ReconstructedSurface::from_samples(region(), &ps, &zs).unwrap();
-        assert_eq!(surf.sample_count(), 5);
+        assert_eq!(surf.samples().len(), 5);
         assert!((surf.value(Point2::new(5.0, 5.0)) - 5.0).abs() < 1e-9);
     }
 
@@ -255,15 +215,5 @@ mod tests {
         // Near the region corner (0,0), the nearest sample is the first.
         assert_eq!(surf.value(Point2::new(0.0, 0.0)), 1.0);
         assert_eq!(surf.value(Point2::new(10.0, 10.0)), 3.0);
-    }
-
-    #[test]
-    fn from_triangulation_checks_lengths() {
-        let dt = Triangulation::from_points(region(), region().corners()).unwrap();
-        assert!(ReconstructedSurface::from_triangulation(dt.clone(), vec![0.0; 3]).is_err());
-        let ok = ReconstructedSurface::from_triangulation(dt, vec![1.0; 4]).unwrap();
-        assert_eq!(ok.sample_count(), 4);
-        assert_eq!(ok.samples(), &[1.0; 4]);
-        assert_eq!(ok.triangulation().vertex_count(), 4);
     }
 }

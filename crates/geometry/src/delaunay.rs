@@ -201,24 +201,6 @@ impl Triangulation {
             .collect()
     }
 
-    /// The Delaunay neighbors of a vertex (ids sharing an edge with
-    /// it), ascending order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn vertex_neighbors(&self, id: VertexId) -> Vec<VertexId> {
-        assert!(id.0 < self.vertex_count(), "vertex id out of range");
-        let mut set = std::collections::BTreeSet::new();
-        for tri in self.triangles() {
-            if let Some(k) = tri.iter().position(|&v| v == id) {
-                set.insert(tri[(k + 1) % 3].0);
-                set.insert(tri[(k + 2) % 3].0);
-            }
-        }
-        set.into_iter().map(VertexId).collect()
-    }
-
     /// Geometry of a triangle triple reported by
     /// [`Triangulation::triangles`].
     pub fn triangle_geometry(&self, tri: [VertexId; 3]) -> Triangle {
@@ -965,11 +947,10 @@ mod tests {
             .filter(|&&(a, b)| a == center || b == center)
             .count();
         assert_eq!(deg, 4);
-        assert_eq!(dt.vertex_neighbors(center).len(), 4);
-        // Neighbor lists agree with the edge set.
-        for (a, b) in &edges {
-            assert!(dt.vertex_neighbors(*a).contains(b));
-            assert!(dt.vertex_neighbors(*b).contains(a));
+        // Every edge is a side of some triangle.
+        let triangles = dt.triangles();
+        for &(a, b) in &edges {
+            assert!(triangles.iter().any(|t| t.contains(&a) && t.contains(&b)));
         }
         // Edges are canonical (small id first) and unique.
         for w in edges.windows(2) {

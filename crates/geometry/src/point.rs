@@ -63,12 +63,6 @@ impl Point2 {
         )
     }
 
-    /// Displaces the point by a vector.
-    #[inline]
-    pub fn translate(self, v: Vec2) -> Point2 {
-        Point2::new(self.x + v.x, self.y + v.y)
-    }
-
     /// The position vector from the origin.
     #[inline]
     pub fn to_vec(self) -> Vec2 {
@@ -141,7 +135,7 @@ impl std::ops::Add<Vec2> for Point2 {
     type Output = Point2;
     #[inline]
     fn add(self, rhs: Vec2) -> Point2 {
-        self.translate(rhs)
+        Point2::new(self.x + rhs.x, self.y + rhs.y)
     }
 }
 
@@ -203,7 +197,6 @@ mod tests {
         let d = b - a;
         assert_eq!(d, Vec2::new(3.0, 4.0));
         assert_eq!(a + d, b);
-        assert_eq!(a.translate(d), b);
         assert_eq!(a.to_vec(), Vec2::new(1.0, 2.0));
     }
 

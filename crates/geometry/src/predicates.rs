@@ -36,13 +36,6 @@ pub fn is_ccw(a: Point2, b: Point2, c: Point2) -> bool {
     orient2d(a, b, c) > orientation_tolerance(a, b, c)
 }
 
-/// Returns `true` when the three points are collinear within a scaled
-/// tolerance.
-#[inline]
-pub fn is_collinear(a: Point2, b: Point2, c: Point2) -> bool {
-    orient2d(a, b, c).abs() <= orientation_tolerance(a, b, c)
-}
-
 /// Tolerance for orientation tests, scaled to the operand magnitudes.
 #[inline]
 fn orientation_tolerance(a: Point2, b: Point2, c: Point2) -> f64 {
@@ -119,8 +112,9 @@ mod tests {
     fn ccw_and_collinear_helpers() {
         assert!(is_ccw(A, B, C));
         assert!(!is_ccw(A, C, B));
-        assert!(is_collinear(A, B, Point2::new(2.0, 0.0)));
-        assert!(!is_collinear(A, B, C));
+        // Collinear points wind neither way.
+        let on_line = Point2::new(2.0, 0.0);
+        assert!(!is_ccw(A, B, on_line) && !is_ccw(A, on_line, B));
     }
 
     #[test]

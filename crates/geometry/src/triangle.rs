@@ -45,12 +45,6 @@ impl Triangle {
         orient2d(self.a, self.b, self.c).abs() / 2.0
     }
 
-    /// Signed area (positive for counterclockwise winding).
-    #[inline]
-    pub fn signed_area(&self) -> f64 {
-        orient2d(self.a, self.b, self.c) / 2.0
-    }
-
     /// Centroid of the triangle.
     #[inline]
     pub fn centroid(&self) -> Point2 {
@@ -121,74 +115,6 @@ impl Triangle {
         let center = Point2::new(ux, uy);
         Some((center, center.distance_squared(self.a)))
     }
-
-    /// Axis-aligned bounding box as `(min, max)` corners.
-    pub fn bounding_box(&self) -> (Point2, Point2) {
-        (
-            Point2::new(
-                self.a.x.min(self.b.x).min(self.c.x),
-                self.a.y.min(self.b.y).min(self.c.y),
-            ),
-            Point2::new(
-                self.a.x.max(self.b.x).max(self.c.x),
-                self.a.y.max(self.b.y).max(self.c.y),
-            ),
-        )
-    }
-
-    /// Length of the longest edge.
-    pub fn longest_edge(&self) -> f64 {
-        self.a
-            .distance(self.b)
-            .max(self.b.distance(self.c))
-            .max(self.c.distance(self.a))
-    }
-
-    /// Length of the shortest edge.
-    pub fn shortest_edge(&self) -> f64 {
-        self.a
-            .distance(self.b)
-            .min(self.b.distance(self.c))
-            .min(self.c.distance(self.a))
-    }
-
-    /// Mesh-quality aspect ratio: circumradius over twice the inradius
-    /// (1 for equilateral, growing unboundedly for slivers). Returns
-    /// `f64::INFINITY` for degenerate triangles.
-    pub fn aspect_ratio(&self) -> f64 {
-        let area = self.area();
-        if area < 1e-300 {
-            return f64::INFINITY;
-        }
-        let (ab, bc, ca) = (
-            self.a.distance(self.b),
-            self.b.distance(self.c),
-            self.c.distance(self.a),
-        );
-        // R = abc / (4·area); r = area / s with s the semi-perimeter.
-        let circumradius = ab * bc * ca / (4.0 * area);
-        let inradius = area / ((ab + bc + ca) / 2.0);
-        circumradius / (2.0 * inradius)
-    }
-
-    /// Smallest interior angle in radians (0 for degenerate input).
-    pub fn min_angle(&self) -> f64 {
-        let (ab, bc, ca) = (
-            self.a.distance(self.b),
-            self.b.distance(self.c),
-            self.c.distance(self.a),
-        );
-        if ab * bc * ca < 1e-300 {
-            return 0.0;
-        }
-        // Law of cosines at each corner.
-        let angle = |opp: f64, e1: f64, e2: f64| -> f64 {
-            (((e1 * e1 + e2 * e2 - opp * opp) / (2.0 * e1 * e2)).clamp(-1.0, 1.0)).acos()
-        };
-        angle(bc, ab, ca)
-            .min(angle(ca, ab, bc))
-            .min(angle(ab, bc, ca))
-    }
 }
 
 #[cfg(test)]
@@ -205,11 +131,13 @@ mod tests {
 
     #[test]
     fn area_and_signed_area() {
+        // The area is unsigned: reversing the winding flips the sign of
+        // `orient2d` but not the area.
         let t = right_triangle();
         assert_eq!(t.area(), 6.0);
-        assert_eq!(t.signed_area(), 6.0);
+        assert_eq!(orient2d(t.a, t.b, t.c), 12.0);
         let flipped = Triangle::new(t.a, t.c, t.b);
-        assert_eq!(flipped.signed_area(), -6.0);
+        assert_eq!(orient2d(flipped.a, flipped.b, flipped.c), -12.0);
         assert_eq!(flipped.area(), 6.0);
     }
 
@@ -280,44 +208,5 @@ mod tests {
         for v in [t.a, t.b, t.c] {
             assert!((center.distance_squared(v) - r2).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn quality_metrics() {
-        // Equilateral: aspect ratio 1, min angle 60°.
-        let h = 3f64.sqrt() / 2.0;
-        let eq = Triangle::new(
-            Point2::new(0.0, 0.0),
-            Point2::new(1.0, 0.0),
-            Point2::new(0.5, h),
-        );
-        assert!((eq.aspect_ratio() - 1.0).abs() < 1e-9);
-        assert!((eq.min_angle() - std::f64::consts::FRAC_PI_3).abs() < 1e-9);
-        assert!((eq.shortest_edge() - 1.0).abs() < 1e-12);
-        // A sliver: terrible aspect ratio, tiny min angle.
-        let sliver = Triangle::new(
-            Point2::new(0.0, 0.0),
-            Point2::new(10.0, 0.0),
-            Point2::new(5.0, 0.01),
-        );
-        assert!(sliver.aspect_ratio() > 100.0);
-        assert!(sliver.min_angle() < 0.01);
-        // Degenerate: infinite ratio, zero angle.
-        let degen = Triangle::new(
-            Point2::new(0.0, 0.0),
-            Point2::new(1.0, 1.0),
-            Point2::new(2.0, 2.0),
-        );
-        assert_eq!(degen.aspect_ratio(), f64::INFINITY);
-        assert_eq!(degen.min_angle(), 0.0);
-    }
-
-    #[test]
-    fn bounding_box_and_longest_edge() {
-        let t = right_triangle();
-        let (lo, hi) = t.bounding_box();
-        assert_eq!(lo, Point2::new(0.0, 0.0));
-        assert_eq!(hi, Point2::new(4.0, 3.0));
-        assert_eq!(t.longest_edge(), 5.0);
     }
 }

@@ -6,14 +6,11 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 
-use crate::records::{NodeMeta, SensorReading};
+use crate::records::SensorReading;
 use crate::{Dataset, TraceError};
 
 /// CSV header for reading files.
-pub const READINGS_HEADER: &str = "node_id,hour,light,temperature,humidity";
-
-/// CSV header for node-metadata files.
-pub const NODES_HEADER: &str = "id,x,y";
+const READINGS_HEADER: &str = "node_id,hour,light,temperature,humidity";
 
 impl Dataset {
     /// Writes all readings as CSV. A mutable reference works as the
@@ -90,69 +87,6 @@ impl Dataset {
         Ok(out)
     }
 
-    /// Writes node metadata as CSV (`id,x,y`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_nodes_csv<W: Write>(&self, mut w: W) -> Result<(), TraceError> {
-        writeln!(w, "{NODES_HEADER}")?;
-        for n in self.nodes() {
-            writeln!(w, "{},{:.6},{:.6}", n.id, n.x, n.y)?;
-        }
-        Ok(())
-    }
-
-    /// Parses node-metadata CSV (as written by
-    /// [`Dataset::write_nodes_csv`]).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Parse`] for malformed content, [`TraceError::Io`]
-    /// for reader failures.
-    pub fn read_nodes_csv<R: Read>(r: R) -> Result<Vec<NodeMeta>, TraceError> {
-        let reader = BufReader::new(r);
-        let mut out = Vec::new();
-        for (idx, line) in reader.lines().enumerate() {
-            let line = line?;
-            let lineno = idx + 1;
-            if idx == 0 {
-                if line.trim() != NODES_HEADER {
-                    return Err(TraceError::Parse {
-                        line: lineno,
-                        message: format!("unexpected header {line:?}"),
-                    });
-                }
-                continue;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 3 {
-                return Err(TraceError::Parse {
-                    line: lineno,
-                    message: format!("expected 3 fields, got {}", fields.len()),
-                });
-            }
-            let parse = |s: &str, what: &str| -> Result<f64, TraceError> {
-                s.trim().parse().map_err(|e| TraceError::Parse {
-                    line: lineno,
-                    message: format!("bad {what}: {e}"),
-                })
-            };
-            out.push(NodeMeta {
-                id: fields[0].trim().parse().map_err(|e| TraceError::Parse {
-                    line: lineno,
-                    message: format!("bad id: {e}"),
-                })?,
-                x: parse(fields[1], "x")?,
-                y: parse(fields[2], "y")?,
-            });
-        }
-        Ok(out)
-    }
-
     /// Serializes the whole dataset (nodes + readings) as JSON.
     ///
     /// # Errors
@@ -222,28 +156,6 @@ mod tests {
         let text = format!("{READINGS_HEADER}\n1,0,1.0,2.0,3.0\n\n2,0,4.0,5.0,6.0\n");
         let parsed = Dataset::read_readings_csv(text.as_bytes()).unwrap();
         assert_eq!(parsed.len(), 2);
-    }
-
-    #[test]
-    fn nodes_csv_round_trip_and_validation() {
-        let d = tiny();
-        let mut buf = Vec::new();
-        d.write_nodes_csv(&mut buf).unwrap();
-        let parsed = Dataset::read_nodes_csv(buf.as_slice()).unwrap();
-        assert_eq!(parsed.len(), d.nodes().len());
-        for (a, b) in parsed.iter().zip(d.nodes()) {
-            assert_eq!(a.id, b.id);
-            assert!((a.x - b.x).abs() < 1e-5);
-        }
-        assert!(matches!(
-            Dataset::read_nodes_csv("nope\n".as_bytes()),
-            Err(TraceError::Parse { line: 1, .. })
-        ));
-        let bad = format!("{NODES_HEADER}\n1,2\n");
-        assert!(matches!(
-            Dataset::read_nodes_csv(bad.as_bytes()),
-            Err(TraceError::Parse { line: 2, .. })
-        ));
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl Dataset {
     ///
     /// Returns [`TraceError::HourOutOfRange`] for hours beyond the
     /// trace.
-    pub fn readings_at(&self, hour: u32) -> Result<Vec<&SensorReading>, TraceError> {
+    fn readings_at(&self, hour: u32) -> Result<Vec<&SensorReading>, TraceError> {
         if hour >= self.hours {
             return Err(TraceError::HourOutOfRange {
                 hour,

@@ -7,49 +7,15 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LinalgError {
-    /// Operand shapes are incompatible for the requested operation.
-    ShapeMismatch {
-        /// Shape expected by the operation, `(rows, cols)`.
-        expected: (usize, usize),
-        /// Shape actually supplied, `(rows, cols)`.
-        actual: (usize, usize),
-    },
     /// The system matrix is singular (or numerically indistinguishable
     /// from singular) and cannot be solved.
     Singular,
-    /// The matrix is not positive definite (Cholesky only).
-    NotPositiveDefinite,
-    /// The system is underdetermined: fewer independent equations than
-    /// unknowns.
-    Underdetermined {
-        /// Number of equations (rows) supplied.
-        rows: usize,
-        /// Number of unknowns (columns) requested.
-        cols: usize,
-    },
-    /// An input contained a non-finite value (NaN or infinity).
-    NonFiniteInput,
 }
 
 impl fmt::Display for LinalgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LinalgError::ShapeMismatch { expected, actual } => write!(
-                f,
-                "shape mismatch: expected {}x{}, got {}x{}",
-                expected.0, expected.1, actual.0, actual.1
-            ),
             LinalgError::Singular => write!(f, "matrix is singular"),
-            LinalgError::NotPositiveDefinite => {
-                write!(f, "matrix is not positive definite")
-            }
-            LinalgError::Underdetermined { rows, cols } => write!(
-                f,
-                "underdetermined system: {rows} equations for {cols} unknowns"
-            ),
-            LinalgError::NonFiniteInput => {
-                write!(f, "input contained a non-finite value")
-            }
         }
     }
 }
@@ -62,16 +28,7 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_and_informative() {
-        let e = LinalgError::ShapeMismatch {
-            expected: (3, 3),
-            actual: (2, 3),
-        };
-        assert_eq!(e.to_string(), "shape mismatch: expected 3x3, got 2x3");
         assert_eq!(LinalgError::Singular.to_string(), "matrix is singular");
-        assert_eq!(
-            LinalgError::Underdetermined { rows: 2, cols: 3 }.to_string(),
-            "underdetermined system: 2 equations for 3 unknowns"
-        );
     }
 
     #[test]

@@ -1,31 +1,36 @@
-//! Small dense linear-algebra substrate for the CPS distribution workspace.
+//! Small linear-algebra substrate for the CPS distribution workspace.
 //!
-//! The reproduced paper needs only a handful of numerical kernels: 2-D/3-D
-//! vector arithmetic for force accumulation and geometry, small dense
-//! matrices, linear solvers, and least squares for the local quadric fit
-//! that yields Gaussian curvature (Eqn. 11 of the paper). The surrounding
-//! Rust ecosystem for scientific computing is intentionally not used; this
-//! crate is self-contained and dependency-free.
+//! The reproduced paper needs only a handful of numerical kernels: 2-D
+//! vector arithmetic for force accumulation and geometry, summary
+//! statistics for the evaluation harnesses, and a 3×3 solver for the
+//! normal equations of the local quadric fit that yields Gaussian
+//! curvature (Eqn. 11 of the paper). The crate is self-contained and
+//! dependency-free.
 //!
 //! # Example
 //!
-//! Solve an overdetermined system in the least-squares sense, exactly as a
-//! CPS node fits `a·x² + b·xy + c·y² = z` over its sensed samples:
+//! Fit `a·x² + b·xy + c·y² = z` in the least-squares sense, exactly as a
+//! CPS node does over its sensed samples: accumulate the normal
+//! equations `AᵀA·x = Aᵀz` and solve them with [`solve_3x3`].
 //!
 //! ```
-//! use cps_linalg::{DMatrix, lstsq};
+//! use cps_linalg::solve_3x3;
 //!
 //! // Samples of z = 2x² + 0·xy + 1·y² (so a=2, b=0, c=1).
 //! let pts = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0)];
-//! let mut design = DMatrix::zeros(pts.len(), 3);
-//! let mut rhs = Vec::new();
-//! for (r, &(x, y)) in pts.iter().enumerate() {
-//!     design[(r, 0)] = x * x;
-//!     design[(r, 1)] = x * y;
-//!     design[(r, 2)] = y * y;
-//!     rhs.push(2.0 * x * x + y * y);
+//! let mut ata = [[0.0; 3]; 3];
+//! let mut atz = [0.0; 3];
+//! for &(x, y) in &pts {
+//!     let row = [x * x, x * y, y * y];
+//!     let z = 2.0 * x * x + y * y;
+//!     for i in 0..3 {
+//!         for j in 0..3 {
+//!             ata[i][j] += row[i] * row[j];
+//!         }
+//!         atz[i] += row[i] * z;
+//!     }
 //! }
-//! let coef = lstsq(&design, &rhs).unwrap();
+//! let coef = solve_3x3(&ata, &atz).unwrap();
 //! assert!((coef[0] - 2.0).abs() < 1e-9);
 //! assert!(coef[1].abs() < 1e-9);
 //! assert!((coef[2] - 1.0).abs() < 1e-9);
@@ -33,21 +38,17 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod error;
-mod lstsq;
-mod mat2;
-mod matrix;
-mod qr;
 mod solve;
 mod stats;
 mod vector;
 
 pub use error::LinalgError;
-pub use lstsq::{lstsq, lstsq_normal, polyfit};
-pub use mat2::SymMat2;
-pub use matrix::DMatrix;
-pub use qr::QrDecomposition;
-pub use solve::{solve_2x2, solve_3x3, solve_cholesky, solve_dense};
-pub use stats::{mean, rmse, Summary};
-pub use vector::{Vec2, Vec3};
+pub use solve::solve_3x3;
+pub use stats::{mean, Summary};
+pub use vector::Vec2;

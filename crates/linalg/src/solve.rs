@@ -1,189 +1,9 @@
-//! Direct linear solvers: Gaussian elimination, Cholesky, and closed-form
-//! 2×2 / 3×3 kernels.
+//! The closed-form 3×3 solver behind the curvature quadric fit.
 
-use crate::{DMatrix, LinalgError};
+use crate::LinalgError;
 
 /// Pivot threshold below which a matrix is treated as singular.
 const SINGULAR_EPS: f64 = 1e-12;
-
-/// Solves the square system `A·x = b` by Gaussian elimination with partial
-/// pivoting.
-///
-/// # Errors
-///
-/// * [`LinalgError::ShapeMismatch`] — `A` is not square or `b` has the
-///   wrong length.
-/// * [`LinalgError::Singular`] — no pivot above threshold was found.
-/// * [`LinalgError::NonFiniteInput`] — `A` or `b` contains NaN/infinity.
-///
-/// # Example
-///
-/// ```
-/// use cps_linalg::{DMatrix, solve_dense};
-///
-/// let a = DMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-/// let x = solve_dense(&a, &[5.0, 10.0]).unwrap();
-/// assert!((x[0] - 1.0).abs() < 1e-12);
-/// assert!((x[1] - 3.0).abs() < 1e-12);
-/// ```
-// Index loops: elimination updates row `r` from pivot row `col`, so
-// both rows of `m` are indexed by the same loop variable.
-#[allow(clippy::needless_range_loop)]
-pub fn solve_dense(a: &DMatrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::ShapeMismatch {
-            expected: (n, n),
-            actual: a.shape(),
-        });
-    }
-    if b.len() != n {
-        return Err(LinalgError::ShapeMismatch {
-            expected: (n, 1),
-            actual: (b.len(), 1),
-        });
-    }
-    if !a.is_finite() || b.iter().any(|v| !v.is_finite()) {
-        return Err(LinalgError::NonFiniteInput);
-    }
-
-    // Augmented working copy.
-    let mut m: Vec<Vec<f64>> = (0..n)
-        .map(|r| {
-            let mut row = a.row(r).to_vec();
-            row.push(b[r]);
-            row
-        })
-        .collect();
-
-    for col in 0..n {
-        // Partial pivot: the row with the largest magnitude in this column.
-        let pivot_row = (col..n)
-            .max_by(|&i, &j| {
-                m[i][col]
-                    .abs()
-                    .partial_cmp(&m[j][col].abs())
-                    .expect("finite values compare")
-            })
-            .expect("non-empty range");
-        if m[pivot_row][col].abs() < SINGULAR_EPS {
-            return Err(LinalgError::Singular);
-        }
-        m.swap(col, pivot_row);
-        for r in col + 1..n {
-            let factor = m[r][col] / m[col][col];
-            if factor == 0.0 {
-                continue;
-            }
-            for c in col..=n {
-                m[r][c] -= factor * m[col][c];
-            }
-        }
-    }
-
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for r in (0..n).rev() {
-        let mut s = m[r][n];
-        for c in r + 1..n {
-            s -= m[r][c] * x[c];
-        }
-        x[r] = s / m[r][r];
-    }
-    Ok(x)
-}
-
-/// Solves a symmetric positive-definite system `A·x = b` by Cholesky
-/// decomposition (`A = L·Lᵀ`).
-///
-/// Preferred for the normal equations of least squares, where the Gram
-/// matrix is SPD whenever the design matrix has full column rank.
-///
-/// # Errors
-///
-/// * [`LinalgError::ShapeMismatch`] — `A` not square / `b` wrong length.
-/// * [`LinalgError::NotPositiveDefinite`] — a non-positive diagonal pivot
-///   was encountered.
-/// * [`LinalgError::NonFiniteInput`] — non-finite input values.
-pub fn solve_cholesky(a: &DMatrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(LinalgError::ShapeMismatch {
-            expected: (n, n),
-            actual: a.shape(),
-        });
-    }
-    if b.len() != n {
-        return Err(LinalgError::ShapeMismatch {
-            expected: (n, 1),
-            actual: (b.len(), 1),
-        });
-    }
-    if !a.is_finite() || b.iter().any(|v| !v.is_finite()) {
-        return Err(LinalgError::NonFiniteInput);
-    }
-
-    // Lower-triangular factor, row-major.
-    let mut l = vec![0.0; n * n];
-    for i in 0..n {
-        for j in 0..=i {
-            let mut s = a[(i, j)];
-            for k in 0..j {
-                s -= l[i * n + k] * l[j * n + k];
-            }
-            if i == j {
-                if s <= SINGULAR_EPS {
-                    return Err(LinalgError::NotPositiveDefinite);
-                }
-                l[i * n + j] = s.sqrt();
-            } else {
-                l[i * n + j] = s / l[j * n + j];
-            }
-        }
-    }
-
-    // Forward solve L·y = b.
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut s = b[i];
-        for k in 0..i {
-            s -= l[i * n + k] * y[k];
-        }
-        y[i] = s / l[i * n + i];
-    }
-    // Back solve Lᵀ·x = y.
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = y[i];
-        for k in i + 1..n {
-            s -= l[k * n + i] * x[k];
-        }
-        x[i] = s / l[i * n + i];
-    }
-    Ok(x)
-}
-
-/// Solves the 2×2 system with rows `(a, b | e)` and `(c, d | f)` by
-/// Cramer's rule.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::Singular`] when the determinant is below the
-/// singularity threshold.
-pub fn solve_2x2(
-    a: f64,
-    b: f64,
-    c: f64,
-    d: f64,
-    e: f64,
-    f: f64,
-) -> Result<(f64, f64), LinalgError> {
-    let det = a * d - b * c;
-    if det.abs() < SINGULAR_EPS {
-        return Err(LinalgError::Singular);
-    }
-    Ok(((e * d - b * f) / det, (a * f - e * c) / det))
-}
 
 /// Solves a 3×3 system `M·x = b` given as row-major arrays, by Cramer's
 /// rule. Used for the curvature quadric's normal equations on hot paths.
@@ -218,98 +38,6 @@ fn det3(m: &[[f64; 3]; 3]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn residual(a: &DMatrix, x: &[f64], b: &[f64]) -> f64 {
-        a.mul_vec(x)
-            .unwrap()
-            .iter()
-            .zip(b)
-            .map(|(ax, bi)| (ax - bi).abs())
-            .fold(0.0, f64::max)
-    }
-
-    #[test]
-    fn gaussian_solves_known_system() {
-        let a = DMatrix::from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]])
-            .unwrap();
-        let b = [8.0, -11.0, -3.0];
-        let x = solve_dense(&a, &b).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-10);
-        assert!((x[1] - 3.0).abs() < 1e-10);
-        assert!((x[2] + 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn gaussian_handles_pivoting() {
-        // Leading zero forces a row swap.
-        let a = DMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let x = solve_dense(&a, &[2.0, 3.0]).unwrap();
-        assert_eq!(x, vec![3.0, 2.0]);
-    }
-
-    #[test]
-    fn gaussian_rejects_singular() {
-        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        assert_eq!(
-            solve_dense(&a, &[1.0, 2.0]).unwrap_err(),
-            LinalgError::Singular
-        );
-    }
-
-    #[test]
-    fn gaussian_rejects_bad_shapes_and_nan() {
-        let rect = DMatrix::zeros(2, 3);
-        assert!(matches!(
-            solve_dense(&rect, &[0.0, 0.0]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        let a = DMatrix::identity(2);
-        assert!(matches!(
-            solve_dense(&a, &[0.0]),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        assert!(matches!(
-            solve_dense(&a, &[f64::NAN, 0.0]),
-            Err(LinalgError::NonFiniteInput)
-        ));
-    }
-
-    #[test]
-    fn cholesky_solves_spd_system() {
-        let a = DMatrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
-        let b = [10.0, 8.0];
-        let x = solve_cholesky(&a, &b).unwrap();
-        assert!(residual(&a, &x, &b) < 1e-10);
-    }
-
-    #[test]
-    fn cholesky_rejects_non_spd() {
-        let a = DMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert_eq!(
-            solve_cholesky(&a, &[1.0, 1.0]).unwrap_err(),
-            LinalgError::NotPositiveDefinite
-        );
-    }
-
-    #[test]
-    fn cholesky_agrees_with_gaussian() {
-        let a =
-            DMatrix::from_rows(&[&[6.0, 2.0, 1.0], &[2.0, 5.0, 2.0], &[1.0, 2.0, 4.0]]).unwrap();
-        let b = [1.0, -2.0, 3.0];
-        let x1 = solve_cholesky(&a, &b).unwrap();
-        let x2 = solve_dense(&a, &b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn solve_2x2_cramer() {
-        let (x, y) = solve_2x2(1.0, 1.0, 1.0, -1.0, 3.0, 1.0).unwrap();
-        assert!((x - 2.0).abs() < 1e-12);
-        assert!((y - 1.0).abs() < 1e-12);
-        assert!(solve_2x2(1.0, 2.0, 2.0, 4.0, 0.0, 0.0).is_err());
-    }
 
     #[test]
     fn solve_3x3_cramer_matches_dense() {

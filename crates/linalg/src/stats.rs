@@ -16,27 +16,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Root-mean-square error between two equally long series.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-///
-/// # Example
-///
-/// ```
-/// let e = cps_linalg::rmse(&[1.0, 2.0], &[1.0, 4.0]);
-/// assert!((e - 2.0f64.sqrt()).abs() < 1e-12);
-/// ```
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "rmse requires equal-length series");
-    if a.is_empty() {
-        return 0.0;
-    }
-    let ss: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-    (ss / a.len() as f64).sqrt()
-}
-
 /// Summary statistics of a sample.
 ///
 /// # Example
@@ -107,17 +86,6 @@ mod tests {
     #[test]
     fn mean_of_empty_is_zero() {
         assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn rmse_identical_is_zero() {
-        assert_eq!(rmse(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn rmse_length_mismatch_panics() {
-        rmse(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

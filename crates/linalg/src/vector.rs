@@ -1,9 +1,8 @@
-//! Fixed-size 2-D and 3-D vectors.
+//! The fixed-size 2-D vector.
 //!
 //! [`Vec2`] is the workhorse of the movement planner: virtual forces
 //! (Eqns. 14–18 of the paper) are accumulated as `Vec2` values and the
-//! resultant decides each node's heading. [`Vec3`] carries sampled surface
-//! points `(x, y, z)`.
+//! resultant decides each node's heading.
 
 use std::fmt;
 use std::iter::Sum;
@@ -196,127 +195,6 @@ impl fmt::Display for Vec2 {
     }
 }
 
-/// A 3-D vector with `f64` components, used for surface points `(x, y, z)`.
-///
-/// # Example
-///
-/// ```
-/// use cps_linalg::Vec3;
-///
-/// let a = Vec3::new(1.0, 0.0, 0.0);
-/// let b = Vec3::new(0.0, 1.0, 0.0);
-/// assert_eq!(a.cross(b), Vec3::new(0.0, 0.0, 1.0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Vec3 {
-    /// Component along the X axis.
-    pub x: f64,
-    /// Component along the Y axis.
-    pub y: f64,
-    /// Component along the Z axis (the sensed environmental value).
-    pub z: f64,
-}
-
-impl Vec3 {
-    /// The zero vector.
-    pub const ZERO: Vec3 = Vec3 {
-        x: 0.0,
-        y: 0.0,
-        z: 0.0,
-    };
-
-    /// Creates a vector from its components.
-    #[inline]
-    pub const fn new(x: f64, y: f64, z: f64) -> Self {
-        Vec3 { x, y, z }
-    }
-
-    /// Euclidean length.
-    #[inline]
-    pub fn norm(self) -> f64 {
-        self.norm_squared().sqrt()
-    }
-
-    /// Squared Euclidean length.
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.x * self.x + self.y * self.y + self.z * self.z
-    }
-
-    /// Dot product.
-    #[inline]
-    pub fn dot(self, other: Vec3) -> f64 {
-        self.x * other.x + self.y * other.y + self.z * other.z
-    }
-
-    /// Cross product.
-    #[inline]
-    pub fn cross(self, other: Vec3) -> Vec3 {
-        Vec3::new(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-    }
-
-    /// Projection onto the X-Y plane.
-    #[inline]
-    pub fn xy(self) -> Vec2 {
-        Vec2::new(self.x, self.y)
-    }
-
-    /// Returns `true` when all components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
-    }
-}
-
-impl Add for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn add(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x + rhs.x, self.y + rhs.y, self.z + rhs.z)
-    }
-}
-
-impl Sub for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn sub(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x - rhs.x, self.y - rhs.y, self.z - rhs.z)
-    }
-}
-
-impl Mul<f64> for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn mul(self, rhs: f64) -> Vec3 {
-        Vec3::new(self.x * rhs, self.y * rhs, self.z * rhs)
-    }
-}
-
-impl Neg for Vec3 {
-    type Output = Vec3;
-    #[inline]
-    fn neg(self) -> Vec3 {
-        Vec3::new(-self.x, -self.y, -self.z)
-    }
-}
-
-impl From<(f64, f64, f64)> for Vec3 {
-    #[inline]
-    fn from((x, y, z): (f64, f64, f64)) -> Self {
-        Vec3::new(x, y, z)
-    }
-}
-
-impl fmt::Display for Vec3 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {}, {})", self.x, self.y, self.z)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,25 +271,9 @@ mod tests {
     }
 
     #[test]
-    fn vec3_cross_is_orthogonal() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(-2.0, 0.5, 4.0);
-        let c = a.cross(b);
-        assert!(c.dot(a).abs() < 1e-12);
-        assert!(c.dot(b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vec3_projection_and_norm() {
-        let p = Vec3::new(3.0, 4.0, 12.0);
-        assert_eq!(p.xy(), Vec2::new(3.0, 4.0));
-        assert_eq!(p.norm(), 13.0);
-    }
-
-    #[test]
     fn finiteness_checks() {
         assert!(Vec2::new(1.0, 2.0).is_finite());
         assert!(!Vec2::new(f64::NAN, 0.0).is_finite());
-        assert!(!Vec3::new(0.0, f64::INFINITY, 0.0).is_finite());
+        assert!(!Vec2::new(0.0, f64::INFINITY).is_finite());
     }
 }

@@ -38,19 +38,11 @@ pub struct RelayPlan {
 }
 
 impl RelayPlan {
-    /// Plans relays for `graph` using the graph's own radius.
+    /// Plans relays for `graph`. Relays are nodes like the others, so
+    /// they use the graph's communication radius `r`: the plan realizes
+    /// the paper's `L(G, r)` with `r = graph.radius()`.
     pub fn for_graph(graph: &UnitDiskGraph) -> Self {
-        RelayPlan::for_graph_with_radius(graph, graph.radius())
-    }
-
-    /// Plans relays for `graph` assuming the relays have communication
-    /// radius `r` — the paper's `L(G, r)` generalization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is not a positive finite number.
-    pub fn for_graph_with_radius(graph: &UnitDiskGraph, r: f64) -> Self {
-        assert!(r > 0.0 && r.is_finite(), "relay radius must be positive");
+        let r = graph.radius();
         let components = graph.components();
         let c = components.len();
         if c <= 1 {
@@ -201,18 +193,11 @@ mod tests {
 
     #[test]
     fn custom_relay_radius() {
-        let g = udg(vec![Point2::ORIGIN, Point2::new(30.0, 0.0)], 10.0);
-        // Stronger relays need fewer of them.
-        let strong = RelayPlan::for_graph_with_radius(&g, 15.0);
+        // Relays hop at the graph's radius: longer hops need fewer.
+        let pts = vec![Point2::ORIGIN, Point2::new(30.0, 0.0)];
+        let strong = RelayPlan::for_graph(&udg(pts.clone(), 15.0));
         assert_eq!(strong.relay_count(), 1);
-        let weak = RelayPlan::for_graph_with_radius(&g, 5.0);
+        let weak = RelayPlan::for_graph(&udg(pts, 5.0));
         assert_eq!(weak.relay_count(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "relay radius")]
-    fn invalid_radius_panics() {
-        let g = udg(vec![Point2::ORIGIN], 1.0);
-        RelayPlan::for_graph_with_radius(&g, 0.0);
     }
 }

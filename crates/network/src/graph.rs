@@ -142,7 +142,7 @@ impl UnitDiskGraph {
     }
 
     /// Union–find over the graph's connectivity.
-    pub fn union_find(&self) -> UnionFind {
+    fn union_find(&self) -> UnionFind {
         let mut uf = UnionFind::new(self.node_count());
         for (i, j) in self.edges() {
             uf.union(i, j);

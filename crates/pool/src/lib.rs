@@ -35,6 +35,7 @@
 //! above it (`cps-field`, `cps-core`, …) keeps `#![forbid(unsafe_code)]`.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::any::Any;
 use std::cell::Cell;

@@ -473,33 +473,6 @@ impl<F: TimeVaryingField + Sync> Simulation<F> {
     pub fn step(&mut self) -> Result<StepReport, CoreError> {
         self.step_observed(&mut [])
     }
-
-    /// Steps until the clock reaches `t_end` (minutes), returning the
-    /// last report (or `None` when no step was taken).
-    ///
-    /// The step count is computed up front from the remaining span with
-    /// a *relative* tolerance, rather than re-testing the accumulating
-    /// clock against an absolute epsilon each slot: at large absolute
-    /// times (long missions, epoch-based clocks) the float error of
-    /// repeated `time += Δt` exceeds any fixed epsilon and the old test
-    /// would skip the boundary step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Simulation::step`] errors.
-    pub fn run_until(&mut self, t_end: f64) -> Result<Option<StepReport>, CoreError> {
-        let span = t_end - self.time;
-        let ratio = span / self.config.time_step;
-        if !ratio.is_finite() {
-            return Ok(None);
-        }
-        let steps = (ratio * (1.0 + 1e-12) + 1e-9).floor() as u64;
-        let mut last = None;
-        for _ in 0..steps {
-            last = Some(self.step()?);
-        }
-        Ok(last)
-    }
 }
 
 /// Builder for an OSTD simulation running the coordinated movement
@@ -845,43 +818,12 @@ mod tests {
             .start_time(600.0)
             .run(f)
             .unwrap();
-        sim.run_until(605.0).unwrap();
+        for _ in 0..5 {
+            sim.step().unwrap();
+        }
         assert_eq!(sim.time(), 605.0);
         assert!(sim.nodes().iter().any(|n| n.traveled > 0.0));
         assert!(sim.nodes().iter().all(|n| n.traveled <= 5.0 + 1e-9));
-    }
-
-    #[test]
-    fn run_until_takes_the_boundary_step_at_large_times() {
-        // Regression: the old loop tested the accumulating clock
-        // against an absolute 1e-9 epsilon; at clock magnitudes where
-        // one ulp exceeds that epsilon, drift from repeated
-        // `time += 0.1` skipped the final step. One year in minutes
-        // with dt = 0.1 (not representable in binary) reproduces it.
-        let f = Static::new(PlaneField::new(0.0, 0.0, 3.0));
-        let t0 = 525_600.0 * 1024.0;
-        let dt = SimConfig {
-            time_step: 0.1,
-            ..SimConfig::default()
-        };
-        let mut sim = CmaBuilder::new(region(), vec![Point2::new(50.0, 50.0)])
-            .config(dt)
-            .start_time(t0)
-            .run(f)
-            .unwrap();
-        sim.run_until(t0 + 5.0).unwrap();
-        assert_eq!(sim.slot(), 50, "all 50 slots must run, drift or not");
-        // And the small-time semantics are unchanged.
-        let f = Static::new(PlaneField::new(0.0, 0.0, 3.0));
-        let mut sim = CmaBuilder::new(region(), vec![Point2::new(50.0, 50.0)])
-            .start_time(600.0)
-            .run(f)
-            .unwrap();
-        sim.run_until(605.0).unwrap();
-        assert_eq!((sim.slot(), sim.time()), (5, 605.0));
-        assert!(sim.run_until(605.0).unwrap().is_none(), "already there");
-        assert!(sim.run_until(0.0).unwrap().is_none(), "past target");
-        assert!(sim.run_until(f64::NAN).unwrap().is_none());
     }
 
     #[test]

@@ -17,8 +17,6 @@ use crate::Simulation;
 pub struct ExplorationTracker {
     grid: GridSpec,
     sensed: Vec<bool>,
-    /// When each cell was first sensed (minutes), NaN if never.
-    first_sensed: Vec<f64>,
 }
 
 impl ExplorationTracker {
@@ -27,7 +25,6 @@ impl ExplorationTracker {
         ExplorationTracker {
             grid,
             sensed: vec![false; grid.len()],
-            first_sensed: vec![f64::NAN; grid.len()],
         }
     }
 
@@ -36,7 +33,6 @@ impl ExplorationTracker {
     pub fn record<F: TimeVaryingField>(&mut self, sim: &Simulation<F>) {
         let rs = sim.config().cps.sensing_radius();
         let r2 = rs * rs;
-        let t = sim.time();
         // For each node, only visit grid cells in its bounding box.
         for node in sim.nodes().iter().filter(|n| n.alive) {
             let p = node.position;
@@ -50,11 +46,7 @@ impl ExplorationTracker {
                 for i in i0..=i1 {
                     let q = self.grid.point(i, j);
                     if p.distance_squared(q) <= r2 {
-                        let idx = self.grid.flat_index(i, j);
-                        if !self.sensed[idx] {
-                            self.sensed[idx] = true;
-                            self.first_sensed[idx] = t;
-                        }
+                        self.sensed[self.grid.flat_index(i, j)] = true;
                     }
                 }
             }
@@ -67,20 +59,6 @@ impl ExplorationTracker {
             return 0.0;
         }
         self.sensed.iter().filter(|&&s| s).count() as f64 / self.sensed.len() as f64
-    }
-
-    /// Mean time-to-first-sense over the cells sensed so far (`None`
-    /// when nothing was sensed).
-    pub fn mean_discovery_time(&self) -> Option<f64> {
-        // One-pass fold: never-sensed cells carry NaN, so filtering on
-        // finiteness while accumulating avoids materialising a Vec of
-        // grid-sized length on every metrics poll.
-        let (sum, count) = self
-            .first_sensed
-            .iter()
-            .filter(|t| t.is_finite())
-            .fold((0.0_f64, 0_usize), |(s, c), &t| (s + t, c + 1));
-        (count > 0).then(|| sum / count as f64)
     }
 }
 
@@ -108,7 +86,6 @@ mod tests {
         }
         // Coverage is monotone and grew (nodes moved toward the blob).
         assert!(tracker.coverage() >= initial);
-        assert!(tracker.mean_discovery_time().unwrap() >= 0.0);
     }
 
     #[test]
@@ -116,7 +93,6 @@ mod tests {
         let grid = GridSpec::new(Rect::square(10.0).unwrap(), 5, 5).unwrap();
         let t = ExplorationTracker::new(grid);
         assert_eq!(t.coverage(), 0.0);
-        assert_eq!(t.mean_discovery_time(), None);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! Two runs with the same plan, start state, and field are therefore
 //! bit-identical at any thread count: all draws happen serially before
 //! the parallel sense phase. A plan with every rate at zero and no
-//! scheduled events ([`FaultPlan::is_zero`]) never alters a single
-//! float operation, so the zero-fault path is bit-identical to running
-//! without a plan at all (property-tested).
+//! scheduled events never alters a single float operation, so the
+//! zero-fault path is bit-identical to running without a plan at all
+//! (property-tested).
 
 use std::collections::HashSet;
 
@@ -130,7 +130,7 @@ pub enum FaultEvent {
 ///     .link_loss(0.2, 2)
 ///     .build()
 ///     .unwrap();
-/// assert!(!plan.is_zero());
+/// assert!(plan.recovery_active()); // a plan that injects faults heals partitions
 /// let parsed = FaultPlan::parse("seed=42,kill=7@30,loss=0.2:2").unwrap();
 /// assert_eq!(plan, parsed);
 /// ```
@@ -188,7 +188,7 @@ impl FaultPlan {
 
     /// Whether the plan injects no fault at all (rates zero, nothing
     /// scheduled, no battery model).
-    pub fn is_zero(&self) -> bool {
+    fn is_zero(&self) -> bool {
         self.kills.is_empty()
             && self.culls.is_empty()
             && self.death_rate == 0.0

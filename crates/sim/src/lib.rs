@@ -34,6 +34,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![forbid(unsafe_code)]
 
 mod checkpoint;

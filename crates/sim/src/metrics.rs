@@ -175,11 +175,6 @@ impl ConvergenceDetector {
         }
         self.converged_at.is_some()
     }
-
-    /// The time convergence latched, if it did.
-    pub fn converged_at(&self) -> Option<f64> {
-        self.converged_at
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +230,7 @@ mod tests {
         assert!(!det.observe(2.0, 0.05));
         assert!(!det.observe(3.0, 0.05));
         assert!(det.observe(4.0, 0.05)); // third quiet slot
-        assert_eq!(det.converged_at(), Some(4.0));
+        assert_eq!(det.converged_at, Some(4.0));
         // Latching: later loud slots don't un-converge.
         assert!(det.observe(5.0, 10.0));
     }
@@ -247,7 +242,7 @@ mod tests {
         assert!(!det.observe(2.0, 1.0)); // reset
         assert!(!det.observe(3.0, 0.0));
         assert!(det.observe(4.0, 0.0));
-        assert_eq!(det.converged_at(), Some(4.0));
+        assert_eq!(det.converged_at, Some(4.0));
     }
 
     #[test]

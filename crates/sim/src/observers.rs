@@ -64,7 +64,8 @@ struct CheckpointSink {
 /// for _ in 0..10 {
 ///     sim.step_observed(&mut [&mut rec]).unwrap();
 /// }
-/// assert_eq!(rec.timeline_ref().unwrap().len(), 3); // slots 0, 5, 10
+/// let (timeline, _) = rec.into_parts();
+/// assert_eq!(timeline.unwrap().len(), 3); // slots 0, 5, 10
 /// ```
 #[derive(Debug, Default)]
 pub struct RunRecorder {
@@ -165,11 +166,6 @@ impl RunRecorder {
         }
         self.last_sample = sample;
         Ok(sample)
-    }
-
-    /// The recorded timeline, if one was configured.
-    pub fn timeline_ref(&self) -> Option<&DeltaTimeline> {
-        self.timeline.as_ref().map(|(t, _)| t)
     }
 
     /// Consumes the recorder, returning the timeline and tracker for

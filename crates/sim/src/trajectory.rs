@@ -40,37 +40,6 @@ impl TrajectoryRecorder {
     pub fn track(&self, id: usize) -> &[(f64, Point2)] {
         self.tracks.get(id).map_or(&[], Vec::as_slice)
     }
-
-    /// Polyline length of one node's recorded movement.
-    pub fn path_length(&self, id: usize) -> f64 {
-        let t = self.track(id);
-        t.windows(2).map(|w| w[0].1.distance(w[1].1)).sum()
-    }
-
-    /// The node that traveled farthest, with its path length.
-    pub fn longest_track(&self) -> Option<(usize, f64)> {
-        (0..self.tracks.len())
-            .map(|id| (id, self.path_length(id)))
-            .max_by(|a, b| f64::total_cmp(&a.1, &b.1))
-    }
-
-    /// Linear interpolation of a node's position at time `t` (clamped
-    /// to the recorded interval); `None` when the track is empty.
-    pub fn position_at(&self, id: usize, t: f64) -> Option<Point2> {
-        let track = self.track(id);
-        let (first, last) = (track.first()?, track.last()?);
-        if t <= first.0 {
-            return Some(first.1);
-        }
-        if t >= last.0 {
-            return Some(last.1);
-        }
-        let hi = track.partition_point(|&(tt, _)| tt <= t);
-        let (t0, p0) = track[hi - 1];
-        let (t1, p1) = track[hi];
-        let w = if t1 > t0 { (t - t0) / (t1 - t0) } else { 0.0 };
-        Some(p0.lerp(p1, w))
-    }
 }
 
 #[cfg(test)]
@@ -79,6 +48,11 @@ mod tests {
     use crate::{scenario, CmaBuilder};
     use cps_field::{GaussianBlob, Static};
     use cps_geometry::Rect;
+
+    /// Polyline length of a recorded track.
+    fn path_length(track: &[(f64, Point2)]) -> f64 {
+        track.windows(2).map(|w| w[0].1.distance(w[1].1)).sum()
+    }
 
     fn tracked_sim() -> TrajectoryRecorder {
         let region = Rect::square(50.0).unwrap();
@@ -105,23 +79,11 @@ mod tests {
         for id in 0..9 {
             assert_eq!(rec.track(id).len(), 11);
             // 10 steps at ≤ 1 m/min.
-            assert!(rec.path_length(id) <= 10.0 + 1e-9);
+            assert!(path_length(rec.track(id)) <= 10.0 + 1e-9);
         }
-        let (_, longest) = rec.longest_track().unwrap();
+        let longest = (0..9)
+            .map(|id| path_length(rec.track(id)))
+            .fold(0.0, f64::max);
         assert!(longest > 0.0, "somebody must have moved toward the blob");
-    }
-
-    #[test]
-    fn position_interpolates_and_clamps() {
-        let rec = tracked_sim();
-        let track = rec.track(0);
-        let (t0, p0) = track[0];
-        let (t1, p1) = track[1];
-        assert_eq!(rec.position_at(0, t0 - 10.0), Some(p0));
-        let mid = rec.position_at(0, (t0 + t1) / 2.0).unwrap();
-        assert!((mid.distance(p0.midpoint(p1))) < 1e-9);
-        let last = *track.last().unwrap();
-        assert_eq!(rec.position_at(0, last.0 + 99.0), Some(last.1));
-        assert_eq!(rec.position_at(42, 0.0), None);
     }
 }

@@ -20,6 +20,7 @@
 //! typically arrive from CLI flags, so bad dimensions are input errors.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![forbid(unsafe_code)]
 
 mod ascii;

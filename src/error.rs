@@ -26,7 +26,7 @@ use std::fmt;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum Error {
-    /// From `cps-linalg`: dense linear-algebra failures.
+    /// From `cps-linalg`: a singular system in the 3×3 solver.
     Linalg(cps_linalg::LinalgError),
     /// From `cps-geometry`: geometric construction and query failures.
     Geometry(cps_geometry::GeometryError),

@@ -19,7 +19,7 @@
 //! | [`network`] | `cps-network` | unit-disk graphs, components, MST, relay planning |
 //! | [`sim`] | `cps-sim` | discrete-time mobile-node simulator |
 //! | [`greenorbs`] | `cps-greenorbs` | synthetic GreenOrbs-style forest sensing trace |
-//! | [`linalg`] | `cps-linalg` | small dense linear algebra |
+//! | [`linalg`] | `cps-linalg` | 2-D vectors, summary statistics, the 3×3 quadric-fit solver |
 //! | [`viz`] | `cps-viz` | ASCII/CSV/PGM figure rendering |
 //!
 //! Most programs only need [`prelude`], which gathers the common
@@ -60,6 +60,7 @@
 //! regenerate every figure of the paper (documented in EXPERIMENTS.md).
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![forbid(unsafe_code)]
 
 mod error;
